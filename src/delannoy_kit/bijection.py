@@ -15,16 +15,19 @@ Inverse direction: from a path ending at (n+1, n), read off
 
 Each height level 1..n is reached exactly once, by an N step (heights in
 A) or by a D step (heights in C), which is why A and C partition {1..n}.
-Merging A and B into weakly increasing order with the A element first on
-ties, then inserting each C value as far left as the weak increase allows,
-reconstructs the sequence of step heights in word order; substituting
-A -> N, B -> E, C -> D yields the original word.
+The word is therefore a scan over the heights: one E per B value equal to
+0, then for each h = 1..n an N if h is in A, else a D, followed by one E
+per B value equal to h.  The same scan, tagging A -> N, B -> E, C -> D,
+is the merge of A, B and C into weakly increasing order with A and C ahead
+of equal B values.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .lattice_core import (
@@ -32,10 +35,11 @@ from .lattice_core import (
     DelannoyPath,
     KimberlingPath,
     LatticeError,
-    central_index,
+    NotCentral,
 )
 
 TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
+LETTER_TO_TAG = {letter: tag for tag, letter in TAG_TO_LETTER.items()}
 
 
 class OverlappingAC(LatticeError):
@@ -71,6 +75,7 @@ class TaggedValue(NamedTuple):
 
 
 def _terminal_heights(word: str) -> tuple[list[int], list[int], list[int]]:
+    """Terminal heights of the N, E and D steps; ``NotCentral`` unless #E == #N."""
     y = 0
     a: list[int] = []
     b: list[int] = []
@@ -84,6 +89,8 @@ def _terminal_heights(word: str) -> tuple[list[int], list[int], list[int]]:
         else:
             y += 1
             c.append(y)
+    if len(a) != len(b):
+        raise NotCentral(len(b), len(a))
     return a, b, c
 
 
@@ -94,7 +101,6 @@ def step_labels(path: DelannoyPath) -> StepLabels:
     because the inverse reads them back as the complement set C.  Raises
     ``NotCentral`` for non-central paths.
     """
-    central_index(path)
     a, b, c = _terminal_heights(path.word)
     return StepLabels(tuple(a), tuple(b), tuple(c))
 
@@ -103,10 +109,11 @@ def phi(path: DelannoyPath) -> KimberlingPath:
     """Map a central path to its vertex path in K_{n+1, n}.
 
     The i-th interior vertex is (i-th N label, i-th E label); the image
-    has exactly k interior vertices, one per East step.
+    has exactly k interior vertices, one per East step.  Raises
+    ``NotCentral`` for non-central paths.
     """
-    n, _ = central_index(path)
-    a, b, _ = _terminal_heights(path.word)
+    a, b, c = _terminal_heights(path.word)
+    n = len(a) + len(c)
     vertices = ((0, 0),) + tuple(zip(a, b)) + ((n + 1, n),)
     return KimberlingPath(vertices)
 
@@ -116,13 +123,13 @@ def merge_tagged(
     b_multiset: Sequence[int],
     c_set: Sequence[int],
 ) -> list[TaggedValue]:
-    """Interleave A and B (A first on ties), then insert each C leftmost.
+    """Merge A, B and C into weakly increasing order, A and C ahead of equal B.
 
     ``a_set`` and ``c_set`` must be strictly increasing with values >= 1
     and disjoint from each other; ``b_multiset`` must be weakly increasing.
-    Each C value lands immediately before the first element of value >= it
-    (or at the end), which keeps the result weakly increasing and places C
-    ahead of equal-valued B entries.
+    Ranking the A and C values 1..m, and giving each B value the rank of
+    the largest A or C value not above it, reduces the merge to the height
+    scan of the inverse.
     """
     a = list(a_set)
     b = list(b_multiset)
@@ -135,40 +142,41 @@ def merge_tagged(
     overlap = set(a) & set(c)
     if overlap:
         raise OverlappingAC(overlap)
-    values, tags = _merge_core(a, b, c)
-    return [TaggedValue(v, t) for v, t in zip(values, tags)]
+    heights = sorted(a + c)
+    rank = partial(bisect_right, heights)
+    letters = "".join(_height_slots(len(heights), map(rank, a), map(rank, b)))
+    return [
+        TaggedValue(v, LETTER_TO_TAG[ch]) for v, ch in zip(sorted(a + b + c), letters)
+    ]
 
 
-def _merge_core(
-    a: list[int], b: list[int], c: list[int]
-) -> tuple[list[int], list[str]]:
-    values: list[int] = []
-    tags: list[str] = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        if a[ia] <= b[ib]:
-            values.append(a[ia])
-            tags.append("A")
-            ia += 1
-        else:
-            values.append(b[ib])
-            tags.append("B")
-            ib += 1
-    values.extend(a[ia:])
-    tags.extend("A" * (len(a) - ia))
-    values.extend(b[ib:])
-    tags.extend("B" * (len(b) - ib))
+def _height_slots(n: int, a: Iterable[int], b: Iterable[int]) -> list[str]:
+    """The height scan: slot h spells the steps that end at height h.
 
-    for cv in c:
-        pos = bisect_left(values, cv)
-        values.insert(pos, cv)
-        tags.insert(pos, "C")
-    return values, tags
+    Slot 0 is one E per zero in ``b``; slot h (1..n) is N when h is in ``a``,
+    else D, followed by one E per h in ``b``.  Joined, the slots spell the
+    word; read back as tags (N -> A, E -> B, D -> C) they give the merge order.
+    """
+    slots = ["D"] * (n + 1)
+    slots[0] = ""
+    for x in a:
+        slots[x] = "N"
+    for y in b:
+        slots[y] += "E"
+    return slots
 
 
 def tagged_to_word(tagged: Iterable[TaggedValue]) -> str:
     """Spell a tagged sequence as a step word via A -> N, B -> E, C -> D."""
     return "".join(TAG_TO_LETTER[t.tag] for t in tagged)
+
+
+def _image_order(kpath: KimberlingPath) -> int:
+    """n for a path ending at (n+1, n); ``BadEndpoint`` for any other endpoint."""
+    ex, ey = kpath.endpoint
+    if ex != ey + 1 or ey < 0:
+        raise BadEndpoint(ex, ey)
+    return ey
 
 
 def inverse_parts(
@@ -180,13 +188,9 @@ def inverse_parts(
     interior y-coordinates, C the ascending complement {1..n} \\ A.  Raises
     ``BadEndpoint`` when the terminal vertex has no (n+1, n) shape.
     """
-    ex, ey = kpath.endpoint
-    if ex != ey + 1 or ey < 0:
-        raise BadEndpoint(ex, ey)
-    n = ey
-    interior = kpath.interior
-    a = [x for x, _ in interior]
-    b = [y for _, y in interior]
+    n = _image_order(kpath)
+    a = [x for x, _ in kpath.interior]
+    b = [y for _, y in kpath.interior]
     present = set(a)
     c = [v for v in range(1, n + 1) if v not in present]
     return a, b, c, merge_tagged(a, b, c)
@@ -198,19 +202,9 @@ def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:
     Raises ``BadEndpoint`` when the terminal vertex has no such shape.
     The result is central with index (n, #interior vertices).
     """
-    ex, ey = kpath.endpoint
-    if ex != ey + 1 or ey < 0:
-        raise BadEndpoint(ex, ey)
-    n = ey
     interior = kpath.interior
-    a = [x for x, _ in interior]
-    b = [y for _, y in interior]
-    present = set(a)
-    c = [v for v in range(1, n + 1) if v not in present]
-    # interior coordinates of a validated path already satisfy merge_tagged's
-    # preconditions, so the shared core is used without revalidation
-    _, tags = _merge_core(a, b, c)
-    return DelannoyPath("".join(TAG_TO_LETTER[t] for t in tags))
+    xs, ys = map(itemgetter(0), interior), map(itemgetter(1), interior)
+    return DelannoyPath("".join(_height_slots(_image_order(kpath), xs, ys)))
 
 
 def _require_increasing(seq: list[int], name: str, strict: bool) -> None:

@@ -7,16 +7,22 @@ sampler draws from exact counts rather than floating-point weights.
 Enumeration orders are fixed so golden outputs stay stable:
 
 * ``enumerate_delannoy(n)`` yields words in lexicographic order under
-  D < E < N.
+  D < E < N.  Each k-slice is the multiset {D^(n-k), E^k, N^k} permuted by
+  Knuth's Algorithm L (TAOCP 4A, 7.2.1.2), which steps from one
+  arrangement to the next lexicographically larger one in place, so no
+  enumerator recurses and working memory is O(n).
 * ``enumerate_kimberling(i, j)`` is k-major: interior-vertex count
   ascending, then lexicographic by x-set, then by y-multiset.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
-from itertools import combinations, combinations_with_replacement
+from bisect import bisect_right
+from itertools import accumulate, combinations, combinations_with_replacement
+from operator import attrgetter
 from typing import Iterator
 
 from .lattice_core import DelannoyPath, KimberlingPath
@@ -31,6 +37,16 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _require_order(n: int, caller: str) -> None:
+    if n < 0:
+        raise ValueError(f"{caller} requires n >= 0, got {n}")
+
+
+def _require_endpoint(i: int, j: int, caller: str) -> None:
+    if i < 0 or j < 0:
+        raise ValueError(f"{caller} requires i, j >= 0, got ({i}, {j})")
+
+
 def count_delannoy_by_e(n: int, k: int) -> int:
     """Number of central paths to (n, n) with exactly k East steps.
 
@@ -38,11 +54,13 @@ def count_delannoy_by_e(n: int, k: int) -> int:
     n-k Ds, so the count is the multinomial C(n+k; k, k, n-k), i.e.
     C(n, k) * C(n+k, k).
     """
+    _require_order(n, "count_delannoy_by_e")
     return binomial(n, k) * binomial(n + k, k)
 
 
 def count_delannoy(n: int) -> int:
     """The central Delannoy number: total paths from (0,0) to (n,n)."""
+    _require_order(n, "count_delannoy")
     return sum(count_delannoy_by_e(n, k) for k in range(n + 1))
 
 
@@ -54,6 +72,7 @@ def count_kimberling_by_vertices(i: int, j: int, k: int) -> int:
     C(i-1, k) * C(j+k, k).  The degenerate endpoint (0, 0) admits exactly
     the single-vertex path.
     """
+    _require_endpoint(i, j, "count_kimberling_by_vertices")
     if i == 0:
         return 1 if (j == 0 and k == 0) else 0
     return binomial(i - 1, k) * binomial(j + k, k)
@@ -61,6 +80,7 @@ def count_kimberling_by_vertices(i: int, j: int, k: int) -> int:
 
 def count_kimberling(i: int, j: int) -> int:
     """Total finite-nonnegative-slope paths from (0,0) to (i, j)."""
+    _require_endpoint(i, j, "count_kimberling")
     if i == 0:
         return 1 if j == 0 else 0
     return sum(count_kimberling_by_vertices(i, j, k) for k in range(i))
@@ -89,33 +109,13 @@ def schroder(n: int) -> int:
 def enumerate_delannoy(n: int) -> Iterator[DelannoyPath]:
     """Yield every central path to (n, n) once, in word order under D < E < N.
 
-    A prefix with counts (e, n', d) extends to some central word iff
-    max(e, n') + d <= n; complete words are exactly the leaves of that
-    prefix tree, so the DFS below visits each path once in lexicographic
-    order with O(n) working memory.
+    No central word of order n is a prefix of another, so the family in
+    lexicographic order is the merge of its k-slices, each already in
+    lexicographic order.
     """
-    if n < 0:
-        raise ValueError(f"enumerate_delannoy requires n >= 0, got {n}")
-    word: list[str] = []
-
-    def rec(e: int, n_: int, d: int) -> Iterator[DelannoyPath]:
-        if e == n_ and e + d == n:
-            yield DelannoyPath("".join(word))
-            return
-        if max(e, n_) + d + 1 <= n:
-            word.append("D")
-            yield from rec(e, n_, d + 1)
-            word.pop()
-        if max(e + 1, n_) + d <= n:
-            word.append("E")
-            yield from rec(e + 1, n_, d)
-            word.pop()
-        if max(e, n_ + 1) + d <= n:
-            word.append("N")
-            yield from rec(e, n_ + 1, d)
-            word.pop()
-
-    return rec(0, 0, 0)
+    _require_order(n, "enumerate_delannoy")
+    slices = [enumerate_delannoy_by_e(n, k) for k in range(n + 1)]
+    return heapq.merge(*slices, key=attrgetter("word"))
 
 
 def enumerate_delannoy_by_e(n: int, k: int) -> Iterator[DelannoyPath]:
@@ -126,26 +126,21 @@ def enumerate_delannoy_by_e(n: int, k: int) -> Iterator[DelannoyPath]:
     """
     if not 0 <= k <= n:
         return
-    word: list[str] = []
-
-    def rec(d: int, e: int, n_: int) -> Iterator[DelannoyPath]:
-        if d == 0 and e == 0 and n_ == 0:
-            yield DelannoyPath("".join(word))
+    # Algorithm L: the ASCII order of the letters is the order D < E < N.
+    word = ["D"] * (n - k) + ["E"] * k + ["N"] * k
+    last = len(word) - 1
+    while True:
+        yield DelannoyPath("".join(word))
+        j = last - 1
+        while j >= 0 and word[j] >= word[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        if d:
-            word.append("D")
-            yield from rec(d - 1, e, n_)
-            word.pop()
-        if e:
-            word.append("E")
-            yield from rec(d, e - 1, n_)
-            word.pop()
-        if n_:
-            word.append("N")
-            yield from rec(d, e, n_ - 1)
-            word.pop()
-
-    yield from rec(n - k, k, k)
+        i = last
+        while word[j] >= word[i]:
+            i -= 1
+        word[j], word[i] = word[i], word[j]
+        word[j + 1 :] = word[:j:-1]
 
 
 def enumerate_kimberling_by_vertices(i: int, j: int, k: int) -> Iterator[KimberlingPath]:
@@ -169,8 +164,7 @@ def enumerate_kimberling_by_vertices(i: int, j: int, k: int) -> Iterator[Kimberl
 
 def enumerate_kimberling(i: int, j: int) -> Iterator[KimberlingPath]:
     """Yield every path to (i, j) once: k ascending, then x-set, then y-multiset."""
-    if i < 0 or j < 0:
-        raise ValueError(f"enumerate_kimberling requires i, j >= 0, got ({i}, {j})")
+    _require_endpoint(i, j, "enumerate_kimberling")
     if i == 0:
         if j == 0:
             yield KimberlingPath(((0, 0),))
@@ -184,16 +178,12 @@ def _multinomial(d: int, e: int, n_: int) -> int:
     return math.comb(d + e + n_, d) * math.comb(e + n_, e)
 
 
-def _sample_with_rng(n: int, rng: random.Random) -> DelannoyPath:
-    # Draw k exactly: an integer below count_delannoy(n) falls in the k-th
-    # block with probability count_delannoy_by_e(n, k) / count_delannoy(n).
-    total = count_delannoy(n)
-    draw = rng.randrange(total)
-    k = 0
-    acc = count_delannoy_by_e(n, 0)
-    while draw >= acc:
-        k += 1
-        acc += count_delannoy_by_e(n, k)
+def _sample_with_rng(n: int, rng: random.Random, bounds: list[int]) -> DelannoyPath:
+    # Draw k exactly: bounds[k] is the number of paths with at most k East
+    # steps, so an integer below bounds[-1] = count_delannoy(n) falls in the
+    # k-th block with probability count_delannoy_by_e(n, k) / count_delannoy(n).
+    draw = rng.randrange(bounds[-1])
+    k = bisect_right(bounds, draw)
 
     # Emit a uniform arrangement of {D^(n-k), E^k, N^k} one letter at a
     # time; each candidate letter is chosen with probability proportional
@@ -222,13 +212,16 @@ def _sample_with_rng(n: int, rng: random.Random) -> DelannoyPath:
 def sample_delannoy(n: int, seed: int) -> DelannoyPath:
     """One exactly-uniform draw from the central paths to (n, n).
 
-    Deterministic: the same seed always yields the same path.
+    Deterministic: the same seed always yields the same path, which is the
+    first path of ``sample_delannoy_stream(n, 1, seed)``.
     """
-    return _sample_with_rng(n, random.Random(seed))
+    return next(sample_delannoy_stream(n, 1, seed))
 
 
 def sample_delannoy_stream(n: int, count: int, seed: int) -> Iterator[DelannoyPath]:
     """A reproducible stream of ``count`` independent uniform draws."""
+    _require_order(n, "sample_delannoy")
     rng = random.Random(seed)
+    bounds = list(accumulate(count_delannoy_by_e(n, k) for k in range(n + 1)))
     for _ in range(count):
-        yield _sample_with_rng(n, rng)
+        yield _sample_with_rng(n, rng, bounds)

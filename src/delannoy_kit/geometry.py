@@ -89,29 +89,41 @@ def below_endpoint_chord(kpath: KimberlingPath) -> bool:
     return all(y * i_end <= x * j_end for x, y in kpath.vertices)
 
 
-def east_ends(path: DelannoyPath) -> list[EastEnd]:
-    """Terminal vertices of the East steps of a central path, in step order."""
-    central_index(path)
-    x = y = 0
-    ends: list[EastEnd] = []
-    for ch in path.word:
+def walk_east_steps(word: str) -> tuple[list[LatticePoint], list[int], list[int]]:
+    """One pass over a step word: the terminal vertex of each East step, and
+    how many D steps precede each N step and each E step."""
+    x = y = d = 0
+    ends: list[LatticePoint] = []
+    before_north: list[int] = []
+    before_east: list[int] = []
+    for ch in word:
         if ch == "E":
             x += 1
-            ends.append(EastEnd(len(ends) + 1, (x, y)))
+            ends.append((x, y))
+            before_east.append(d)
         elif ch == "N":
             y += 1
+            before_north.append(d)
         else:
             x += 1
             y += 1
-    return ends
+            d += 1
+    return ends, before_north, before_east
+
+
+def east_ends(path: DelannoyPath) -> list[EastEnd]:
+    """Terminal vertices of the East steps of a central path, in step order."""
+    central_index(path)
+    ends, _, _ = walk_east_steps(path.word)
+    return [EastEnd(index, point) for index, point in enumerate(ends, start=1)]
 
 
 def diagonal_flags(path: DelannoyPath) -> DiagonalFlags:
     """Evaluate both diagonal comparisons for every East index of a central path."""
-    n, _ = central_index(path)
-    ends = east_ends(path)
     labels = step_labels(path)
-    east_flags = tuple(py >= px for _, (px, py) in ends)
+    n = len(labels.a_labels) + len(labels.c_labels)
+    ends, _, _ = walk_east_steps(path.word)
+    east_flags = tuple(py >= px for px, py in ends)
     vertex_flags = tuple(
         y * (n + 1) > x * n for x, y in zip(labels.a_labels, labels.b_labels)
     )
@@ -126,16 +138,7 @@ def preceding_d_counts(path: DelannoyPath) -> list[tuple[int, int]]:
     and the i-th E.
     """
     central_index(path)
-    d_seen = 0
-    before_north: list[int] = []
-    before_east: list[int] = []
-    for ch in path.word:
-        if ch == "D":
-            d_seen += 1
-        elif ch == "N":
-            before_north.append(d_seen)
-        else:
-            before_east.append(d_seen)
+    _, before_north, before_east = walk_east_steps(path.word)
     return list(zip(before_north, before_east))
 
 

@@ -33,10 +33,9 @@ from .counting import (
 from .geometry import (
     CASE_LABELS,
     classify_d_counts,
-    diagonal_flags,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
-    preceding_d_counts,
+    walk_east_steps,
 )
 
 FAILURE_CAP = 10
@@ -115,11 +114,18 @@ def _take_failures(dst: list[dict[str, Any]], src: Iterable[dict[str, Any]]) -> 
 
 
 def _all_units(n_max: int) -> list[tuple[int, int]]:
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}; that sweep would check nothing")
     return [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
 
 
 def _vertex_list(kpath) -> list[list[int]]:
     return [list(v) for v in kpath.vertices]
+
+
+def _xy_key(kpath) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(x-coordinates, y-coordinates) of the interior vertices."""
+    return tuple(zip(*kpath.interior)) or ((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +142,7 @@ def _roundtrip_unit(unit: tuple[int, int]) -> dict[str, Any]:
     for path in enumerate_delannoy_by_e(n, k):
         cases += 1
         image = phi(path)
-        interior = image.interior
-        image_keys.append(
-            (tuple(x for x, _ in interior), tuple(y for _, y in interior))
-        )
+        image_keys.append(_xy_key(image))
         back = phi_inverse(image)
         if back.word != path.word:
             failure_count += 1
@@ -159,10 +162,7 @@ def _roundtrip_unit(unit: tuple[int, int]) -> dict[str, Any]:
     vertex_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
         cases += 1
-        interior = kpath.interior
-        vertex_keys.append(
-            (tuple(x for x, _ in interior), tuple(y for _, y in interior))
-        )
+        vertex_keys.append(_xy_key(kpath))
         back_path = phi(phi_inverse(kpath))
         if back_path != kpath:
             failure_count += 1
@@ -385,13 +385,17 @@ def _per_step_unit(unit: tuple[int, int]) -> dict[str, Any]:
     failures: list[dict[str, Any]] = []
     tally = {label: 0 for label in CASE_LABELS}
     for path in enumerate_delannoy_by_e(n, k):
-        flags = diagonal_flags(path)
         labels = step_labels(path)
-        pairs = preceding_d_counts(path)
-        for i in range(k):
-            cases += 1
-            east_flag = flags.east_weakly_above[i]
-            vertex_flag = flags.vertex_strictly_above[i]
+        ends, before_north, before_east = walk_east_steps(path.word)
+        cases += k
+        steps = zip(
+            ends, labels.a_labels, labels.b_labels, before_north, before_east, strict=True
+        )
+        for east_index, ((px, py), x, y, d_north, d_east) in enumerate(steps, start=1):
+            # the i-th East end against y = x, the i-th interior vertex of
+            # the image against y = n/(n+1) x, cross-multiplied
+            east_flag = py >= px
+            vertex_flag = y * (n + 1) > x * n
             if east_flag != vertex_flag:
                 failure_count += 1
                 if len(failures) < FAILURE_CAP:
@@ -401,12 +405,11 @@ def _per_step_unit(unit: tuple[int, int]) -> dict[str, Any]:
                             "n": n,
                             "k": k,
                             "input_word": path.word,
-                            "east_index": i + 1,
+                            "east_index": east_index,
                             "east_weakly_above": east_flag,
                             "vertex_strictly_above": vertex_flag,
                         }
                     )
-            x, y = labels.a_labels[i], labels.b_labels[i]
             if y * (n + 1) == x * n:
                 failure_count += 1
                 if len(failures) < FAILURE_CAP:
@@ -416,11 +419,11 @@ def _per_step_unit(unit: tuple[int, int]) -> dict[str, Any]:
                             "n": n,
                             "k": k,
                             "input_word": path.word,
-                            "east_index": i + 1,
+                            "east_index": east_index,
                             "interior_vertex": [x, y],
                         }
                     )
-            tally[classify_d_counts(*pairs[i])] += 1
+            tally[classify_d_counts(d_north, d_east)] += 1
     return {
         "cases": cases,
         "failure_count": failure_count,

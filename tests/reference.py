@@ -1,0 +1,111 @@
+"""Earlier implementations kept as test-only references.
+
+The package's k-slice enumerator (Algorithm L) and its inverse (a height
+scan) replaced these; tests compare the two outputs exactly.
+"""
+
+from bisect import bisect_left
+
+from delannoy_kit import (
+    BadEndpoint,
+    DelannoyPath,
+    LatticeError,
+    OverlappingAC,
+    TaggedValue,
+)
+
+TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
+
+
+def enumerate_delannoy_by_e(n, k):
+    """The k-slice by recursive descent: D, then E, then N at every position."""
+    if not 0 <= k <= n:
+        return
+    word = []
+
+    def rec(d, e, n_):
+        if d == 0 and e == 0 and n_ == 0:
+            yield DelannoyPath("".join(word))
+            return
+        if d:
+            word.append("D")
+            yield from rec(d - 1, e, n_)
+            word.pop()
+        if e:
+            word.append("E")
+            yield from rec(d, e - 1, n_)
+            word.pop()
+        if n_:
+            word.append("N")
+            yield from rec(d, e, n_ - 1)
+            word.pop()
+
+    yield from rec(n - k, k, k)
+
+
+def merge_tagged(a_set, b_multiset, c_set):
+    """Interleave A and B (A first on ties), then insert each C leftmost."""
+    a = list(a_set)
+    b = list(b_multiset)
+    c = list(c_set)
+    _require_increasing(a, "a_set", strict=True)
+    _require_increasing(b, "b_multiset", strict=False)
+    _require_increasing(c, "c_set", strict=True)
+    if (a and a[0] < 1) or (c and c[0] < 1):
+        raise LatticeError("A and C values must be >= 1")
+    overlap = set(a) & set(c)
+    if overlap:
+        raise OverlappingAC(overlap)
+    values, tags = _merge_core(a, b, c)
+    return [TaggedValue(v, t) for v, t in zip(values, tags)]
+
+
+def _merge_core(a, b, c):
+    values = []
+    tags = []
+    ia = ib = 0
+    while ia < len(a) and ib < len(b):
+        if a[ia] <= b[ib]:
+            values.append(a[ia])
+            tags.append("A")
+            ia += 1
+        else:
+            values.append(b[ib])
+            tags.append("B")
+            ib += 1
+    values.extend(a[ia:])
+    tags.extend("A" * (len(a) - ia))
+    values.extend(b[ib:])
+    tags.extend("B" * (len(b) - ib))
+
+    for cv in c:
+        pos = bisect_left(values, cv)
+        values.insert(pos, cv)
+        tags.insert(pos, "C")
+    return values, tags
+
+
+def inverse_parts(kpath):
+    """A, B, C and the merged tagged sequence of a path to (n+1, n)."""
+    ex, ey = kpath.endpoint
+    if ex != ey + 1 or ey < 0:
+        raise BadEndpoint(ex, ey)
+    interior = kpath.interior
+    a = [x for x, _ in interior]
+    b = [y for _, y in interior]
+    present = set(a)
+    c = [v for v in range(1, ey + 1) if v not in present]
+    return a, b, c, merge_tagged(a, b, c)
+
+
+def phi_inverse(kpath):
+    """The word spelled by the merged tagged sequence."""
+    *_, merged = inverse_parts(kpath)
+    return DelannoyPath("".join(TAG_TO_LETTER[t.tag] for t in merged))
+
+
+def _require_increasing(seq, name, strict):
+    for i in range(1, len(seq)):
+        if seq[i] < seq[i - 1] or (strict and seq[i] == seq[i - 1]):
+            kind = "strictly" if strict else "weakly"
+            raise LatticeError(f"{name} must be {kind} increasing")

@@ -1,14 +1,29 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from delannoy_kit import enumerate_delannoy, sample_delannoy_stream, schroder
+from delannoy_kit import (
+    enumerate_delannoy,
+    phi,
+    sample_delannoy,
+    sample_delannoy_stream,
+    schroder,
+)
 from delannoy_kit import harness
 from delannoy_kit.cli import parse_vertex_text, run
 
 WORKED_WORD = "NEEDNNNEDDEEN"
 WORKED_JSON = "[[0,0],[1,1],[3,1],[4,5],[5,7],[8,7],[9,8]]"
+# stdout of ``unmap --debug`` from the bisect/insert merge, byte for byte
+WORKED_DEBUG = (
+    '{"word":"NEEDNNNEDDEEN","n":8,"k":5,"A":[1,3,4,5,8],"B":[1,1,5,7,7],'
+    '"C":[2,6,7],"merged":["1A","1B","1B","2C","3A","4A","5A","5B","6C","7C",'
+    '"7B","7B","8A"]}\n'
+)
+# ... and its SHA-256 on the image of sample_delannoy(512, 2024)
+UNMAP_DEBUG_512_SHA256 = "6cb38fbfd348a95a0af5790370eda7c7e189f2c3c6c4877bad28d3a730a2da16"
 
 
 def invoke(capsys, *argv):
@@ -63,6 +78,19 @@ class TestMapUnmap:
             "1A", "1B", "1B", "2C", "3A", "4A", "5A",
             "5B", "6C", "7C", "7B", "7B", "8A",
         ]
+
+    def test_unmap_debug_bytes_pinned(self, capsys):
+        code, out, _ = invoke(capsys, "unmap", WORKED_JSON, "--debug")
+        assert code == 0
+        assert out == WORKED_DEBUG
+
+    def test_unmap_debug_bytes_pinned_at_order_512(self, capsys):
+        image = phi(sample_delannoy(512, 2024))
+        vertices = json.dumps([list(v) for v in image.vertices])
+        code, out, err = invoke(capsys, "unmap", vertices, "--debug")
+        assert code == 0
+        assert "n=512 k=363" in err
+        assert hashlib.sha256(out.encode()).hexdigest() == UNMAP_DEBUG_512_SHA256
 
     @pytest.mark.parametrize("n", range(6))
     def test_unmap_of_map_is_identity_textually(self, capsys, n):
@@ -124,6 +152,34 @@ class TestCount:
         code, _, _ = invoke(capsys, "count", "kimberling", "--i", "3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "delannoy", "--n", "-1"),
+            ("count", "delannoy", "--n", "-1", "--k", "0"),
+            ("count", "kimberling", "--i", "-2", "--j", "0"),
+            ("count", "kimberling", "--i", "3", "--j", "-1", "--k", "1"),
+        ],
+    )
+    def test_negative_sizes_rejected(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and ">= 0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "delannoy", "--n", "3", "--k", "5"),
+            ("count", "delannoy", "--n", "3", "--k", "-1"),
+            ("count", "kimberling", "--i", "3", "--j", "2", "--k", "7"),
+        ],
+    )
+    def test_out_of_range_k_counts_zero(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert out == "0\n"
+
 
 class TestEnumerate:
     def test_delannoy_golden(self, capsys):
@@ -159,6 +215,12 @@ class TestEnumerate:
         assert code == 0
         assert out.split() == ["(0,0);(2,1)", "(0,0);(1,0);(2,1)"]
 
+    def test_k_slice_at_order_1500(self, capsys):
+        code, out, err = invoke(capsys, "enumerate", "delannoy", "--n", "1500", "--k-only", "0")
+        assert code == 0
+        assert out.split() == ["D" * 1500]
+        assert err == ""
+
     def test_requires_family_endpoints(self, capsys):
         assert invoke(capsys, "enumerate", "delannoy")[0] == 2
         assert invoke(capsys, "enumerate", "kimberling", "--i", "2")[0] == 2
@@ -179,6 +241,13 @@ class TestSample:
 
     def test_rejects_negative_count(self, capsys):
         assert invoke(capsys, "sample", "--n", "2", "--count", "-1")[0] == 2
+
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_rejects_negative_order(self, capsys, count):
+        code, out, err = invoke(capsys, "sample", "--n", "-1", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "n >= 0" in err
 
 
 class TestClassify:
@@ -230,6 +299,13 @@ class TestVerify:
 
     def test_rejects_unknown_check(self, capsys):
         assert invoke(capsys, "verify", "--check", "bogus")[0] == 2
+
+    @pytest.mark.parametrize("check", ["all", "counts"])
+    def test_negative_n_max_checks_nothing_and_fails(self, capsys, check):
+        code, out, err = invoke(capsys, "verify", "--n-max", "-1", "--check", check)
+        assert code == 2
+        assert "PASS" not in out
+        assert err.startswith("error: ") and "n_max" in err
 
 
 class TestRender:

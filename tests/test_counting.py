@@ -22,6 +22,21 @@ CENTRAL_COUNTS = [1, 3, 13, 63, 321, 1683, 8989, 48639, 265729]
 # frozen from the subdiagonal filter over the same brute force (n <= 5)
 # and the recurrence beyond
 SCHRODER_ROW = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586]
+# sample_delannoy_stream(12, 5, seed=7) and sample_delannoy(200, 31)
+SAMPLE_12_SEED_7 = [
+    "DEDDNEENENEDENNENENN",
+    "NEENNNDNNDEENEENENENEE",
+    "NENDEDNNDNDNEENEEED",
+    "EEENEDNENNNNNEEDDNED",
+    "EENENDNENNEENNNENEDENE",
+]
+SAMPLE_200_SEED_31 = (
+    "EDENEEENEENEEEEDNEEENNNEENDEDNENNEENNNNEDNDEENENDEDNENNNNENEEENDNNENENED"
+    "DNNDDNDDNDDENDDDEDNNENNNEENDNDNNEEDENENDDNNEDEEEENNNENEEENDDNEEEEEDNNNNE"
+    "ENNNDENDDENDEDNNDNENDNNENDENNNENNNEEEEENEEEEDDEDNENNDEDENNEENENENNEEEDEN"
+    "DENDNENDNEEDEEDDDENEENENEEDENNDEDNNNNDDENNNENNEEENNENENENEENNNDDENDENENN"
+    "NENNEEEDNEENEENEEEEEDNENNNENNNNENDEENNENDDDEEEN"
+)
 D2_LEX = [
     "DD", "DEN", "DNE", "EDN", "EENN", "END", "ENEN",
     "ENNE", "NDE", "NED", "NEEN", "NENE", "NNEE",
@@ -74,6 +89,12 @@ class TestDelannoyCounts:
         for k in range(n + 1):
             assert count_delannoy_by_e(n, k) == histogram.get(k, 0)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            count_delannoy(-1)
+        with pytest.raises(ValueError):
+            count_delannoy_by_e(-1, 0)
+
     def test_totals(self):
         assert count_delannoy(0) == 1
         assert count_delannoy(1) == 3
@@ -91,6 +112,13 @@ class TestKimberlingCounts:
         assert count_kimberling_by_vertices(9, 8, 5) == 72072
         assert count_kimberling(1, 0) == 1
         assert count_kimberling(9, 8) == 265729
+
+    def test_negative_endpoint_rejected(self):
+        for i, j in [(-2, 0), (0, -1), (3, -1)]:
+            with pytest.raises(ValueError):
+                count_kimberling(i, j)
+            with pytest.raises(ValueError):
+                count_kimberling_by_vertices(i, j, 1)
 
     def test_degenerate_endpoint(self):
         assert count_kimberling(0, 0) == 1
@@ -166,6 +194,10 @@ class TestEnumerateDelannoy:
         with pytest.raises(ValueError):
             enumerate_delannoy(-1)
 
+    def test_no_recursion_limit_at_order_1500(self):
+        head = [p.word for p in itertools.islice(enumerate_delannoy(1500), 3)]
+        assert head == ["D" * 1500, "D" * 1499 + "EN", "D" * 1499 + "NE"]
+
 
 class TestEnumerateKimberling:
     def test_smallest_nontrivial_family_golden(self):
@@ -217,6 +249,17 @@ class TestSampling:
 
     def test_order_zero(self):
         assert sample_delannoy(0, 7).word == ""
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            sample_delannoy(-1, 7)
+        with pytest.raises(ValueError, match="n >= 0"):
+            list(sample_delannoy_stream(-1, 0, seed=7))
+
+    def test_seed_to_path_stream_pinned(self):
+        # recorded before the count moved out of the per-draw loop
+        assert [p.word for p in sample_delannoy_stream(12, 5, seed=7)] == SAMPLE_12_SEED_7
+        assert sample_delannoy(200, 31).word == SAMPLE_200_SEED_31
 
     def test_samples_are_central(self):
         for path in sample_delannoy_stream(7, 50, seed=3):
