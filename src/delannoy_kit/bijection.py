@@ -31,11 +31,11 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .lattice_core import (
-    BadEndpoint,
     DelannoyPath,
     KimberlingPath,
     LatticeError,
     NotCentral,
+    _image_order,
 )
 
 TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
@@ -169,14 +169,6 @@ def _height_slots(n: int, a: Iterable[int], b: Iterable[int]) -> list[str]:
 def tagged_to_word(tagged: Iterable[TaggedValue]) -> str:
     """Spell a tagged sequence as a step word via A -> N, B -> E, C -> D."""
     return "".join(TAG_TO_LETTER[t.tag] for t in tagged)
-
-
-def _image_order(kpath: KimberlingPath) -> int:
-    """n for a path ending at (n+1, n); ``BadEndpoint`` for any other endpoint."""
-    ex, ey = kpath.endpoint
-    if ex != ey + 1 or ey < 0:
-        raise BadEndpoint(ex, ey)
-    return ey
 
 
 def inverse_parts(

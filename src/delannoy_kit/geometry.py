@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice_core import (
-    BadEndpoint,
     DelannoyPath,
     KimberlingPath,
     LatticePoint,
+    _image_order,
     central_index,
-    path_vertices,
 )
 from .bijection import step_labels
 
@@ -71,19 +70,21 @@ def is_subdiagonal_delannoy(path: DelannoyPath) -> bool:
 
 
 def is_subdiagonal_kimberling(kpath: KimberlingPath) -> bool:
-    """True iff every vertex satisfies y * (n+1) <= x * n, for a path to (n+1, n)."""
-    ex, ey = kpath.endpoint
-    if ex != ey + 1 or ey < 0:
-        raise BadEndpoint(ex, ey)
-    n = ey
-    return all(y * (n + 1) <= x * n for x, y in kpath.vertices)
+    """True iff every vertex satisfies y * (n+1) <= x * n, for a path to (n+1, n).
+
+    Raises ``BadEndpoint`` for any other endpoint; on this family the test
+    is ``below_endpoint_chord``.
+    """
+    _image_order(kpath)
+    return below_endpoint_chord(kpath)
 
 
 def below_endpoint_chord(kpath: KimberlingPath) -> bool:
-    """Generic vertex test against the chord to the path's own endpoint.
+    """Vertex test against the chord to the path's own endpoint.
 
-    For an endpoint (i, j) this checks y * i <= x * j at every vertex; for
-    paths to (n+1, n) it coincides with ``is_subdiagonal_kimberling``.
+    For an endpoint (i, j) this checks y * i <= x * j at every vertex; it
+    accepts any endpoint, where ``is_subdiagonal_kimberling`` requires one
+    of the form (n+1, n).
     """
     i_end, j_end = kpath.endpoint
     return all(y * i_end <= x * j_end for x, y in kpath.vertices)
@@ -149,41 +150,3 @@ def classify_d_counts(before_north: int, before_east: int) -> str:
     if before_north < before_east:
         return CASE_MORE_BEFORE_EAST
     return CASE_MORE_BEFORE_NORTH
-
-
-def sampled_subdiagonal_delannoy(path: DelannoyPath) -> bool:
-    """Subdiagonality of a central path checked at sampled segment points.
-
-    Each step segment is sampled at parameters m/(n+1), m = 0..n+1, and
-    compared against y = x in integers.  Exists to corroborate that the
-    vertex-only predicate loses nothing between vertices.
-    """
-    n, _ = central_index(path)
-    den = n + 1
-    verts = path_vertices(path)
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        dx, dy = x1 - x0, y1 - y0
-        for m in range(den + 1):
-            if (y0 * den + m * dy) > (x0 * den + m * dx):
-                return False
-    return True
-
-
-def sampled_subdiagonal_kimberling(kpath: KimberlingPath) -> bool:
-    """Image-side analogue of ``sampled_subdiagonal_delannoy``.
-
-    Samples each segment at parameters m/(n+1) and compares against
-    y = n/(n+1) * x by cross-multiplication.
-    """
-    ex, ey = kpath.endpoint
-    if ex != ey + 1 or ey < 0:
-        raise BadEndpoint(ex, ey)
-    n = ey
-    den = n + 1
-    verts = kpath.vertices
-    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-        dx, dy = x1 - x0, y1 - y0
-        for m in range(den + 1):
-            if (y0 * den + m * dy) * den > (x0 * den + m * dx) * n:
-                return False
-    return True

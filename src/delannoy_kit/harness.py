@@ -9,9 +9,11 @@ counterexamples, and an exact failure count.
 Sweeps are partitioned into (n, k) units -- the paths with k East steps on
 the word side, the paths with k interior vertices on the vertex side.
 Units are independent, and their partial results merge by exact addition,
-so they may run across worker processes; the DELANNOY_KIT_THREADS
-environment variable sets the worker count (0 = one per CPU, unset = 1).
-Reports are deterministic either way, up to the elapsed field.
+so they may run across worker processes.  The DELANNOY_KIT_THREADS
+environment variable asks for a worker count (0 = one per CPU, unset = 1);
+a sweep starts at most one worker per unit and per CPU, so a larger
+request is capped rather than passed to the pool.  Reports are
+deterministic either way, up to the elapsed field.
 """
 
 from __future__ import annotations
@@ -78,6 +80,30 @@ class VerificationReport:
         }
 
 
+class FailureLog:
+    """An exact failure count and the first ``FAILURE_CAP`` failure records."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.records: list[dict[str, Any]] = []
+
+    def add(self, kind: str, **fields: Any) -> None:
+        self.count += 1
+        if len(self.records) < FAILURE_CAP:
+            self.records.append({"kind": kind, **fields})
+
+    def extend(self, other: FailureLog) -> None:
+        """Append a later log: counts add, records stay in order under the cap."""
+        self.count += other.count
+        self.records.extend(other.records[: FAILURE_CAP - len(self.records)])
+
+
+# A unit returns (cases, failures, extra); a summary folds the units' extras
+# into its own cases and report details, recording any failures it finds.
+UnitResult = tuple[int, FailureLog, Any]
+Summary = Callable[[int, list[Any], FailureLog], tuple[int, dict[str, Any]]]
+
+
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else DELANNOY_KIT_THREADS, else 1."""
     if workers is None:
@@ -95,28 +121,43 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def _map_units(
-    unit_fn: Callable[[tuple[int, int]], dict[str, Any]],
-    units: list[tuple[int, int]],
-    workers: int,
-) -> list[dict[str, Any]]:
-    if workers <= 1 or len(units) <= 1:
-        return [unit_fn(u) for u in units]
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(unit_fn, units, chunksize=1)
-
-
-def _take_failures(dst: list[dict[str, Any]], src: Iterable[dict[str, Any]]) -> None:
-    for record in src:
-        if len(dst) >= FAILURE_CAP:
-            break
-        dst.append(record)
-
-
-def _all_units(n_max: int) -> list[tuple[int, int]]:
+def _sweep(
+    check_name: str,
+    unit_fn: Callable[[tuple[int, int]], UnitResult],
+    n_max: int,
+    workers: int | None,
+    summarize: Summary | None = None,
+) -> VerificationReport:
+    """Run ``unit_fn`` on every (n, k) unit with 0 <= k <= n <= n_max, in
+    that order, and merge the results into one report."""
+    start = time.perf_counter()
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}; that sweep would check nothing")
-    return [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
+    units = [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
+    processes = min(resolve_workers(workers), len(units), os.cpu_count() or 1)
+    if processes <= 1:
+        results = [unit_fn(u) for u in units]
+    else:
+        with multiprocessing.Pool(processes=processes) as pool:
+            results = pool.map(unit_fn, units, chunksize=1)
+    cases = 0
+    failures = FailureLog()
+    for unit_cases, unit_failures, _ in results:
+        cases += unit_cases
+        failures.extend(unit_failures)
+    details: dict[str, Any] = {}
+    if summarize is not None:
+        summary_cases, details = summarize(n_max, [r[2] for r in results], failures)
+        cases += summary_cases
+    return VerificationReport(
+        check_name=check_name,
+        n_range=(0, n_max),
+        total_cases=cases,
+        failure_count=failures.count,
+        failures=failures.records,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
+        details=details,
+    )
 
 
 def _vertex_list(kpath) -> list[list[int]]:
@@ -132,11 +173,10 @@ def _xy_key(kpath) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # round trip
 
 
-def _roundtrip_unit(unit: tuple[int, int]) -> dict[str, Any]:
+def _roundtrip_unit(unit: tuple[int, int]) -> UnitResult:
     n, k = unit
     cases = 0
-    failure_count = 0
-    failures: list[dict[str, Any]] = []
+    failures = FailureLog()
     image_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     for path in enumerate_delannoy_by_e(n, k):
@@ -145,18 +185,14 @@ def _roundtrip_unit(unit: tuple[int, int]) -> dict[str, Any]:
         image_keys.append(_xy_key(image))
         back = phi_inverse(image)
         if back.word != path.word:
-            failure_count += 1
-            if len(failures) < FAILURE_CAP:
-                failures.append(
-                    {
-                        "kind": "inverse_roundtrip",
-                        "n": n,
-                        "k": k,
-                        "input_word": path.word,
-                        "expected": path.word,
-                        "actual": back.word,
-                    }
-                )
+            failures.add(
+                "inverse_roundtrip",
+                n=n,
+                k=k,
+                input_word=path.word,
+                expected=path.word,
+                actual=back.word,
+            )
 
     image_keys.sort()
     vertex_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -165,36 +201,28 @@ def _roundtrip_unit(unit: tuple[int, int]) -> dict[str, Any]:
         vertex_keys.append(_xy_key(kpath))
         back_path = phi(phi_inverse(kpath))
         if back_path != kpath:
-            failure_count += 1
-            if len(failures) < FAILURE_CAP:
-                failures.append(
-                    {
-                        "kind": "forward_roundtrip",
-                        "n": n,
-                        "k": k,
-                        "input_vertices": _vertex_list(kpath),
-                        "expected": _vertex_list(kpath),
-                        "actual": _vertex_list(back_path),
-                    }
-                )
+            failures.add(
+                "forward_roundtrip",
+                n=n,
+                k=k,
+                input_vertices=_vertex_list(kpath),
+                expected=_vertex_list(kpath),
+                actual=_vertex_list(back_path),
+            )
 
     # enumerate_kimberling_by_vertices yields keys in sorted order, so list
     # equality against the sorted image keys is set equality with multiplicity.
     if image_keys != vertex_keys:
-        failure_count += 1
-        if len(failures) < FAILURE_CAP:
-            image_set = set(image_keys)
-            vertex_set = set(vertex_keys)
-            failures.append(
-                {
-                    "kind": "image_set",
-                    "n": n,
-                    "k": k,
-                    "missing_from_image": sorted(vertex_set - image_set)[:3],
-                    "unexpected_in_image": sorted(image_set - vertex_set)[:3],
-                }
-            )
-    return {"cases": cases, "failure_count": failure_count, "failures": failures}
+        image_set = set(image_keys)
+        vertex_set = set(vertex_keys)
+        failures.add(
+            "image_set",
+            n=n,
+            k=k,
+            missing_from_image=sorted(vertex_set - image_set)[:3],
+            unexpected_in_image=sorted(image_set - vertex_set)[:3],
+        )
+    return cases, failures, None
 
 
 def verify_roundtrip(n_max: int, workers: int | None = None) -> VerificationReport:
@@ -204,49 +232,31 @@ def verify_roundtrip(n_max: int, workers: int | None = None) -> VerificationRepo
     per vertex-side path (forward-after-inverse), so the total is twice the
     family size summed over n.
     """
-    start = time.perf_counter()
-    results = _map_units(_roundtrip_unit, _all_units(n_max), resolve_workers(workers))
-    cases = sum(r["cases"] for r in results)
-    failure_count = sum(r["failure_count"] for r in results)
-    failures: list[dict[str, Any]] = []
-    for r in results:
-        _take_failures(failures, r["failures"])
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        check_name="roundtrip",
-        n_range=(0, n_max),
-        total_cases=cases,
-        failure_count=failure_count,
-        failures=failures,
-        elapsed_ms=elapsed,
-    )
+    return _sweep("roundtrip", _roundtrip_unit, n_max, workers)
 
 
 # ---------------------------------------------------------------------------
 # refined counts
 
 
-def _counts_unit(unit: tuple[int, int]) -> dict[str, Any]:
+def _counts_unit(unit: tuple[int, int]) -> UnitResult:
     n, k = unit
     formula = count_delannoy_by_e(n, k)
     vertex_formula = count_kimberling_by_vertices(n + 1, n, k)
     word_enumerated = sum(1 for _ in enumerate_delannoy_by_e(n, k))
     vertex_enumerated = sum(1 for _ in enumerate_kimberling_by_vertices(n + 1, n, k))
-    ok = formula == vertex_formula == word_enumerated == vertex_enumerated
-    failures: list[dict[str, Any]] = []
-    if not ok:
-        failures.append(
-            {
-                "kind": "path_count",
-                "n": n,
-                "k": k,
-                "expected": formula,
-                "kimberling_formula": vertex_formula,
-                "delannoy_enumerated": word_enumerated,
-                "kimberling_enumerated": vertex_enumerated,
-            }
+    failures = FailureLog()
+    if not formula == vertex_formula == word_enumerated == vertex_enumerated:
+        failures.add(
+            "path_count",
+            n=n,
+            k=k,
+            expected=formula,
+            kimberling_formula=vertex_formula,
+            delannoy_enumerated=word_enumerated,
+            kimberling_enumerated=vertex_enumerated,
         )
-    return {"cases": 1, "failure_count": 0 if ok else 1, "failures": failures}
+    return 1, failures, None
 
 
 def verify_counts(n_max: int, workers: int | None = None) -> VerificationReport:
@@ -255,33 +265,17 @@ def verify_counts(n_max: int, workers: int | None = None) -> VerificationReport:
     One case per (n, k) cell with 0 <= k <= n <= n_max; each cell compares
     four exact integers.
     """
-    start = time.perf_counter()
-    results = _map_units(_counts_unit, _all_units(n_max), resolve_workers(workers))
-    cases = sum(r["cases"] for r in results)
-    failure_count = sum(r["failure_count"] for r in results)
-    failures: list[dict[str, Any]] = []
-    for r in results:
-        _take_failures(failures, r["failures"])
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        check_name="counts",
-        n_range=(0, n_max),
-        total_cases=cases,
-        failure_count=failure_count,
-        failures=failures,
-        elapsed_ms=elapsed,
-    )
+    return _sweep("counts", _counts_unit, n_max, workers)
 
 
 # ---------------------------------------------------------------------------
 # subdiagonal transport and Schroder totals
 
 
-def _subdiagonal_unit(unit: tuple[int, int]) -> dict[str, Any]:
+def _subdiagonal_unit(unit: tuple[int, int]) -> UnitResult:
     n, k = unit
     cases = 0
-    failure_count = 0
-    failures: list[dict[str, Any]] = []
+    failures = FailureLog()
     subdiagonal_words = 0
     for path in enumerate_delannoy_by_e(n, k):
         cases += 1
@@ -289,30 +283,39 @@ def _subdiagonal_unit(unit: tuple[int, int]) -> dict[str, Any]:
         vertex_flag = is_subdiagonal_kimberling(phi(path))
         subdiagonal_words += word_flag
         if word_flag != vertex_flag:
-            failure_count += 1
-            if len(failures) < FAILURE_CAP:
-                failures.append(
-                    {
-                        "kind": "subdiagonal_transport",
-                        "n": n,
-                        "k": k,
-                        "input_word": path.word,
-                        "delannoy_subdiagonal": word_flag,
-                        "kimberling_subdiagonal": vertex_flag,
-                    }
-                )
+            failures.add(
+                "subdiagonal_transport",
+                n=n,
+                k=k,
+                input_word=path.word,
+                delannoy_subdiagonal=word_flag,
+                kimberling_subdiagonal=vertex_flag,
+            )
     subdiagonal_vertex_paths = sum(
         is_subdiagonal_kimberling(kpath)
         for kpath in enumerate_kimberling_by_vertices(n + 1, n, k)
     )
-    return {
-        "cases": cases,
-        "failure_count": failure_count,
-        "failures": failures,
-        "n": n,
-        "subdiagonal_words": subdiagonal_words,
-        "subdiagonal_vertex_paths": subdiagonal_vertex_paths,
-    }
+    return cases, failures, (n, subdiagonal_words, subdiagonal_vertex_paths)
+
+
+def _schroder_totals(
+    n_max: int, extras: list[tuple[int, int, int]], failures: FailureLog
+) -> tuple[int, dict[str, Any]]:
+    """Two cases per n: each family's subdiagonal total against the oracle."""
+    totals = {n: [0, 0] for n in range(n_max + 1)}
+    for n, words, vertex_paths in extras:
+        totals[n][0] += words
+        totals[n][1] += vertex_paths
+    schroder_row = {}
+    for n, (words, vertex_paths) in totals.items():
+        oracle = schroder(n)
+        schroder_row[str(n)] = {"oracle": oracle, "delannoy": words, "kimberling": vertex_paths}
+        for family, actual in (("delannoy", words), ("kimberling", vertex_paths)):
+            if actual != oracle:
+                failures.add(
+                    "subdiagonal_count", n=n, family=family, expected=oracle, actual=actual
+                )
+    return 2 * len(totals), {"schroder": schroder_row}
 
 
 def verify_subdiagonal(n_max: int, workers: int | None = None) -> VerificationReport:
@@ -322,67 +325,17 @@ def verify_subdiagonal(n_max: int, workers: int | None = None) -> VerificationRe
     subdiagonal cardinality of each family to the recurrence-computed
     Schroder number.
     """
-    start = time.perf_counter()
-    results = _map_units(
-        _subdiagonal_unit, _all_units(n_max), resolve_workers(workers)
-    )
-    cases = sum(r["cases"] for r in results)
-    failure_count = sum(r["failure_count"] for r in results)
-    failures: list[dict[str, Any]] = []
-    for r in results:
-        _take_failures(failures, r["failures"])
-
-    word_totals = {n: 0 for n in range(n_max + 1)}
-    vertex_totals = {n: 0 for n in range(n_max + 1)}
-    for r in results:
-        word_totals[r["n"]] += r["subdiagonal_words"]
-        vertex_totals[r["n"]] += r["subdiagonal_vertex_paths"]
-
-    schroder_row = {}
-    for n in range(n_max + 1):
-        oracle = schroder(n)
-        schroder_row[str(n)] = {
-            "oracle": oracle,
-            "delannoy": word_totals[n],
-            "kimberling": vertex_totals[n],
-        }
-        for family, actual in (("delannoy", word_totals[n]), ("kimberling", vertex_totals[n])):
-            cases += 1
-            if actual != oracle:
-                failure_count += 1
-                _take_failures(
-                    failures,
-                    [
-                        {
-                            "kind": "subdiagonal_count",
-                            "n": n,
-                            "family": family,
-                            "expected": oracle,
-                            "actual": actual,
-                        }
-                    ],
-                )
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        check_name="subdiagonal",
-        n_range=(0, n_max),
-        total_cases=cases,
-        failure_count=failure_count,
-        failures=failures,
-        elapsed_ms=elapsed,
-        details={"schroder": schroder_row},
-    )
+    return _sweep("subdiagonal", _subdiagonal_unit, n_max, workers, _schroder_totals)
 
 
 # ---------------------------------------------------------------------------
 # per-step equivalence, never-equals, and case coverage
 
 
-def _per_step_unit(unit: tuple[int, int]) -> dict[str, Any]:
+def _per_step_unit(unit: tuple[int, int]) -> UnitResult:
     n, k = unit
     cases = 0
-    failure_count = 0
-    failures: list[dict[str, Any]] = []
+    failures = FailureLog()
     tally = {label: 0 for label in CASE_LABELS}
     for path in enumerate_delannoy_by_e(n, k):
         labels = step_labels(path)
@@ -397,40 +350,41 @@ def _per_step_unit(unit: tuple[int, int]) -> dict[str, Any]:
             east_flag = py >= px
             vertex_flag = y * (n + 1) > x * n
             if east_flag != vertex_flag:
-                failure_count += 1
-                if len(failures) < FAILURE_CAP:
-                    failures.append(
-                        {
-                            "kind": "step_vertex_mismatch",
-                            "n": n,
-                            "k": k,
-                            "input_word": path.word,
-                            "east_index": east_index,
-                            "east_weakly_above": east_flag,
-                            "vertex_strictly_above": vertex_flag,
-                        }
-                    )
+                failures.add(
+                    "step_vertex_mismatch",
+                    n=n,
+                    k=k,
+                    input_word=path.word,
+                    east_index=east_index,
+                    east_weakly_above=east_flag,
+                    vertex_strictly_above=vertex_flag,
+                )
             if y * (n + 1) == x * n:
-                failure_count += 1
-                if len(failures) < FAILURE_CAP:
-                    failures.append(
-                        {
-                            "kind": "vertex_on_diagonal",
-                            "n": n,
-                            "k": k,
-                            "input_word": path.word,
-                            "east_index": east_index,
-                            "interior_vertex": [x, y],
-                        }
-                    )
+                failures.add(
+                    "vertex_on_diagonal",
+                    n=n,
+                    k=k,
+                    input_word=path.word,
+                    east_index=east_index,
+                    interior_vertex=[x, y],
+                )
             tally[classify_d_counts(d_north, d_east)] += 1
-    return {
-        "cases": cases,
-        "failure_count": failure_count,
-        "failures": failures,
-        "n": n,
-        "tally": tally,
-    }
+    return cases, failures, (n, tally)
+
+
+def _case_coverage(
+    n_max: int, extras: list[tuple[int, dict[str, int]]], failures: FailureLog
+) -> tuple[int, dict[str, Any]]:
+    """One case per n >= 2: every ordering of the preceding-D counts occurs."""
+    tallies = {n: {label: 0 for label in CASE_LABELS} for n in range(n_max + 1)}
+    for n, tally in extras:
+        for label, value in tally.items():
+            tallies[n][label] += value
+    for n in range(2, n_max + 1):
+        missing = [label for label in CASE_LABELS if tallies[n][label] == 0]
+        if missing:
+            failures.add("case_class_missing", n=n, missing=missing)
+    return max(n_max - 1, 0), {"case_tallies": {str(n): tallies[n] for n in tallies}}
 
 
 def verify_per_step(n_max: int, workers: int | None = None) -> VerificationReport:
@@ -441,37 +395,7 @@ def verify_per_step(n_max: int, workers: int | None = None) -> VerificationRepor
     One case per East index, plus one coverage case per n >= 2 confirming
     that all three orderings of the preceding-D counts occur.
     """
-    start = time.perf_counter()
-    results = _map_units(_per_step_unit, _all_units(n_max), resolve_workers(workers))
-    cases = sum(r["cases"] for r in results)
-    failure_count = sum(r["failure_count"] for r in results)
-    failures: list[dict[str, Any]] = []
-    for r in results:
-        _take_failures(failures, r["failures"])
-
-    tallies = {n: {label: 0 for label in CASE_LABELS} for n in range(n_max + 1)}
-    for r in results:
-        for label, value in r["tally"].items():
-            tallies[r["n"]][label] += value
-    for n in range(2, n_max + 1):
-        cases += 1
-        missing = [label for label in CASE_LABELS if tallies[n][label] == 0]
-        if missing:
-            failure_count += 1
-            _take_failures(
-                failures,
-                [{"kind": "case_class_missing", "n": n, "missing": missing}],
-            )
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        check_name="per-step",
-        n_range=(0, n_max),
-        total_cases=cases,
-        failure_count=failure_count,
-        failures=failures,
-        elapsed_ms=elapsed,
-        details={"case_tallies": {str(n): tallies[n] for n in tallies}},
-    )
+    return _sweep("per-step", _per_step_unit, n_max, workers, _case_coverage)
 
 
 CHECKS: dict[str, Callable[..., VerificationReport]] = {

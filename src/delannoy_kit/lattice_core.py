@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, NamedTuple
 
 LatticePoint = tuple[int, int]
@@ -90,18 +89,6 @@ class BadEndpoint(LatticeError):
         self.y = y
 
 
-class Step(Enum):
-    """One lattice step: E=(1,0), N=(0,1), or D=(1,1)."""
-
-    E = "E"
-    N = "N"
-    D = "D"
-
-    @property
-    def displacement(self) -> LatticePoint:
-        return _DISPLACEMENT[self.value]
-
-
 _DISPLACEMENT: dict[str, LatticePoint] = {"E": (1, 0), "N": (0, 1), "D": (1, 1)}
 
 
@@ -135,10 +122,6 @@ class DelannoyPath:
     @property
     def d_count(self) -> int:
         return self.word.count("D")
-
-    @property
-    def steps(self) -> tuple[Step, ...]:
-        return tuple(Step(ch) for ch in self.word)
 
     def is_central(self) -> bool:
         return self.e_count == self.n_count
@@ -229,12 +212,18 @@ def make_kimberling(vertices: Iterable[Iterable[int]]) -> KimberlingPath:
     normalized: list[LatticePoint] = []
     for entry in vertices:
         point = tuple(entry)
-        if len(point) != 2 or not all(isinstance(c, int) for c in point):
+        # bool is an int subclass, but JSON's true/false are not coordinates
+        if len(point) != 2 or not all(
+            isinstance(c, int) and not isinstance(c, bool) for c in point
+        ):
             raise LatticeError(f"vertex {entry!r} is not a pair of integers")
         normalized.append(point)  # type: ignore[arg-type]
     return KimberlingPath(tuple(normalized))
 
 
-def interior_vertices(kpath: KimberlingPath) -> tuple[LatticePoint, ...]:
-    """All vertices except the first and the last (empty for 2-vertex paths)."""
-    return kpath.interior
+def _image_order(kpath: KimberlingPath) -> int:
+    """n for a path ending at (n+1, n); ``BadEndpoint`` for any other endpoint."""
+    ex, ey = kpath.endpoint
+    if ex != ey + 1 or ey < 0:
+        raise BadEndpoint(ex, ey)
+    return ey

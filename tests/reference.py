@@ -1,7 +1,9 @@
-"""Earlier implementations kept as test-only references.
+"""Test-only references.
 
-The package's k-slice enumerator (Algorithm L) and its inverse (a height
-scan) replaced these; tests compare the two outputs exactly.
+Earlier implementations: the package's k-slice enumerator (Algorithm L)
+and its inverse (a height scan) replaced these; tests compare the two
+outputs exactly.  Also the segment-sampling subdiagonal checks, which
+corroborate that testing vertices alone loses nothing between them.
 """
 
 from bisect import bisect_left
@@ -12,6 +14,8 @@ from delannoy_kit import (
     LatticeError,
     OverlappingAC,
     TaggedValue,
+    central_index,
+    path_vertices,
 )
 
 TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
@@ -109,3 +113,40 @@ def _require_increasing(seq, name, strict):
         if seq[i] < seq[i - 1] or (strict and seq[i] == seq[i - 1]):
             kind = "strictly" if strict else "weakly"
             raise LatticeError(f"{name} must be {kind} increasing")
+
+
+def sampled_subdiagonal_delannoy(path):
+    """Subdiagonality of a central path checked at sampled segment points.
+
+    Each step segment is sampled at parameters m/(n+1), m = 0..n+1, and
+    compared against y = x in integers.
+    """
+    n, _ = central_index(path)
+    den = n + 1
+    verts = path_vertices(path)
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        for m in range(den + 1):
+            if (y0 * den + m * dy) > (x0 * den + m * dx):
+                return False
+    return True
+
+
+def sampled_subdiagonal_kimberling(kpath):
+    """Image-side analogue of ``sampled_subdiagonal_delannoy``.
+
+    Samples each segment at parameters m/(n+1) and compares against
+    y = n/(n+1) * x by cross-multiplication.
+    """
+    ex, ey = kpath.endpoint
+    if ex != ey + 1 or ey < 0:
+        raise BadEndpoint(ex, ey)
+    n = ey
+    den = n + 1
+    verts = kpath.vertices
+    for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        for m in range(den + 1):
+            if (y0 * den + m * dy) * den > (x0 * den + m * dx) * n:
+                return False
+    return True

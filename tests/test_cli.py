@@ -1,8 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delannoy_kit import (
     enumerate_delannoy,
@@ -118,6 +125,12 @@ class TestMapUnmap:
     def test_unmap_rejects_malformed_json(self, capsys):
         code, _, _ = invoke(capsys, "unmap", "[[0,0],[1,")
         assert code == 2
+
+    def test_unmap_rejects_bool_coordinates(self, capsys):
+        code, out, err = invoke(capsys, "unmap", "[[0,0],[1,false],[2,true]]", "--debug")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not a pair of integers" in err
 
     def test_parse_vertex_text_forms(self):
         assert parse_vertex_text("[[0,0],[1,0]]").vertices == ((0, 0), (1, 0))
@@ -352,3 +365,120 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert run(["map", "--help"]) == 0
+
+    def test_python_dash_m_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run(
+            [sys.executable, "-m", "delannoy_kit", "count", "schroder", "--n", "8"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "41586\n", "")
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: 0 ok, 1 counterexample (verify only), 2 bad usage; no traceback
+
+
+def _argv(*parts):
+    """Concatenate drawn argument lists."""
+    return st.tuples(*parts).map(lambda drawn: [arg for part in drawn for arg in part])
+
+
+def _opt(flag, values):
+    """The flag with a drawn value, or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+def _one(values):
+    return values.map(lambda v: [str(v)])
+
+
+SMALL = st.integers(-3, 6)
+WORD = st.text(alphabet="ENDenx ", max_size=14)
+COORD = st.one_of(st.integers(-2, 12), st.booleans(), st.sampled_from([1.5, "1", None]))
+VERTEX_TEXT = st.one_of(
+    st.lists(st.lists(COORD, max_size=3), max_size=7).map(json.dumps),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=7).map(
+        lambda tail: json.dumps([[0, 0]] + sorted(tail))
+    ),
+    st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=7).map(
+        lambda pairs: ";".join(f"({x},{y})" for x, y in [(0, 0)] + pairs)
+    ),
+    st.text(max_size=12),
+)
+# Oversized inputs stay cheap: counts past Python's 4300-digit str limit, a
+# k-slice of order 3000 holding at most one word, a sample at order 200.  No
+# case enumerates more than 2,668 paths (kimberling i = j = 6) or sweeps
+# beyond n = 3.
+CLI_ARGV = {
+    "map": _argv(st.just(["map"]), _one(WORD), st.sampled_from([[], ["--debug"], ["--compact"]])),
+    "unmap": _argv(st.just(["unmap"]), _one(VERTEX_TEXT), st.sampled_from([[], ["--debug"]])),
+    "classify": _argv(st.just(["classify"]), _opt("--word", WORD)),
+    "render": _argv(
+        st.just(["render"]),
+        _opt("--word", WORD),
+        _opt("--cell", st.one_of(SMALL, st.integers(4, 60), st.just(10**30))),
+        st.sampled_from([[], ["--labels"], ["--no-grid", "--no-diagonal"]]),
+    ),
+    "count": st.one_of(
+        _argv(
+            st.just(["count"]),
+            _one(st.sampled_from(["delannoy", "kimberling", "schroder", "catalan"])),
+            _opt("--n", st.one_of(SMALL, st.just(-(10**30)))),
+            _opt("--i", SMALL),
+            _opt("--j", SMALL),
+            _opt("--k", st.one_of(SMALL, st.just(10**6))),
+        ),
+        _argv(st.just(["count", "schroder", "--n"]), _one(st.sampled_from([0, 4000, 8192]))),
+        _argv(st.just(["count", "delannoy", "--n", "6000", "--k"]), _one(st.integers(-1, 6001))),
+        _argv(
+            st.just(["count", "kimberling", "--i", "9000", "--j", "9000", "--k"]),
+            _one(st.integers(-1, 9000)),
+        ),
+    ),
+    "enumerate": st.one_of(
+        _argv(
+            st.just(["enumerate"]),
+            _one(st.sampled_from(["delannoy", "kimberling", "catalan"])),
+            _opt("--n", st.integers(-3, 5)),
+            _opt("--i", SMALL),
+            _opt("--j", SMALL),
+            _opt("--k-only", SMALL),
+            st.sampled_from([[], ["--subdiagonal"], ["--compact"]]),
+        ),
+        _argv(
+            st.just(["enumerate", "delannoy", "--n", "3000", "--k-only"]),
+            _one(st.sampled_from([-1, 0, 3001])),
+        ),
+    ),
+    "sample": _argv(
+        st.just(["sample"]),
+        _opt("--n", st.one_of(SMALL, st.just(200))),
+        _opt("--count", st.integers(-2, 3)),
+        _opt("--seed", st.one_of(st.integers(-5, 5), st.just(10**30))),
+    ),
+    "verify": _argv(  # --n-max always given: the default sweep takes seconds
+        st.just(["verify", "--n-max"]),
+        _one(st.integers(-3, 3)),
+        _opt("--check", st.sampled_from(["all", "roundtrip", "counts", "per-step", "bogus"])),
+        st.sampled_from([[], ["--json"]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_ARGV))
+def test_exit_code_contract(command):
+    @settings(max_examples=40, deadline=None)
+    @given(CLI_ARGV[command])
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in ((0, 1, 2) if command == "verify" else (0, 2)), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == "" or command == "enumerate", argv
+
+    check()

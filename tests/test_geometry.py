@@ -21,9 +21,8 @@ from delannoy_kit.geometry import (
     CASE_LABELS,
     CASE_MORE_BEFORE_EAST,
     CASE_MORE_BEFORE_NORTH,
-    sampled_subdiagonal_delannoy,
-    sampled_subdiagonal_kimberling,
 )
+from reference import sampled_subdiagonal_delannoy, sampled_subdiagonal_kimberling
 
 WORKED_WORD = "NEEDNNNEDDEEN"
 

@@ -153,6 +153,112 @@ class TestFailureRecording:
         assert report.details["schroder"]["2"]["kimberling"] == 6
 
 
+def _without_elapsed(report):
+    payload = report.to_json_dict()
+    del payload["elapsed_ms"]
+    return json.dumps(payload)
+
+
+def _inverse(n, k, word, actual):
+    return {
+        "kind": "inverse_roundtrip", "n": n, "k": k,
+        "input_word": word, "expected": word, "actual": actual,
+    }
+
+
+def _forward(n, k, vertices, actual):
+    return {
+        "kind": "forward_roundtrip", "n": n, "k": k,
+        "input_vertices": vertices, "expected": vertices, "actual": actual,
+    }
+
+
+def _transport(n, k, word):
+    return {
+        "kind": "subdiagonal_transport", "n": n, "k": k, "input_word": word,
+        "delannoy_subdiagonal": True, "kimberling_subdiagonal": False,
+    }
+
+
+class TestGoldenFailureRecords:
+    """Whole reports of corrupted sweeps, minus ``elapsed_ms``, byte for byte.
+
+    Recorded before the four checks shared one driver: they pin key order,
+    record order across units and summaries, the cap and the exact count.
+    """
+
+    def test_roundtrip_with_bumped_phi(self, monkeypatch):
+        def bumped_phi(path):  # the corruption of TestFailureRecording
+            image = original_phi(path)
+            if len(image.vertices) > 2:
+                x, y = image.vertices[1]
+                bumped = ((0, 0), (x, max(0, y - 1))) + image.vertices[2:]
+                try:
+                    return make_kimberling(bumped)
+                except Exception:
+                    return image
+            return image
+
+        original_phi = harness.phi
+        monkeypatch.setattr(harness, "phi", bumped_phi)
+        expected = {
+            "check_name": "roundtrip",
+            "n_range": [0, 3],
+            "total_cases": 160,
+            "failure_count": 96,
+            "failures": [
+                _inverse(1, 1, "NE", "EN"),
+                _forward(1, 1, [[0, 0], [1, 1], [2, 1]], [[0, 0], [1, 0], [2, 1]]),
+                {
+                    "kind": "image_set", "n": 1, "k": 1,
+                    "missing_from_image": [[[1], [1]]], "unexpected_in_image": [],
+                },
+                _inverse(2, 1, "DEN", "EDN"),
+                _inverse(2, 1, "DNE", "DEN"),
+                _inverse(2, 1, "NDE", "NED"),
+                _inverse(2, 1, "NED", "END"),
+                _forward(2, 1, [[0, 0], [1, 1], [3, 2]], [[0, 0], [1, 0], [3, 2]]),
+                _forward(2, 1, [[0, 0], [1, 2], [3, 2]], [[0, 0], [1, 1], [3, 2]]),
+                _forward(2, 1, [[0, 0], [2, 1], [3, 2]], [[0, 0], [2, 0], [3, 2]]),
+            ],
+            "passed": False,
+            "details": {},
+        }
+        assert _without_elapsed(verify_roundtrip(3, workers=1)) == json.dumps(expected)
+
+    def test_subdiagonal_with_forced_word_predicate(self, monkeypatch):
+        monkeypatch.setattr(harness, "is_subdiagonal_delannoy", lambda path: True)
+        expected = {
+            "check_name": "subdiagonal",
+            "n_range": [0, 2],
+            "total_cases": 23,
+            "failure_count": 10,
+            "failures": [
+                _transport(1, 1, "NE"),
+                _transport(2, 1, "DNE"),
+                _transport(2, 1, "NDE"),
+                _transport(2, 1, "NED"),
+                _transport(2, 2, "ENNE"),
+                _transport(2, 2, "NEEN"),
+                _transport(2, 2, "NENE"),
+                _transport(2, 2, "NNEE"),
+                {"kind": "subdiagonal_count", "n": 1, "family": "delannoy",
+                 "expected": 2, "actual": 3},
+                {"kind": "subdiagonal_count", "n": 2, "family": "delannoy",
+                 "expected": 6, "actual": 13},
+            ],
+            "passed": False,
+            "details": {
+                "schroder": {
+                    "0": {"oracle": 1, "delannoy": 1, "kimberling": 1},
+                    "1": {"oracle": 2, "delannoy": 3, "kimberling": 2},
+                    "2": {"oracle": 6, "delannoy": 13, "kimberling": 6},
+                }
+            },
+        }
+        assert _without_elapsed(verify_subdiagonal(2, workers=1)) == json.dumps(expected)
+
+
 class TestWorkerResolution:
     def test_default_single(self, monkeypatch):
         monkeypatch.delenv(harness.ENV_THREADS, raising=False)
@@ -169,6 +275,49 @@ class TestWorkerResolution:
     def test_argument_overrides_env(self, monkeypatch):
         monkeypatch.setenv(harness.ENV_THREADS, "7")
         assert resolve_workers(2) == 2
+
+    @pytest.mark.parametrize(
+        "requested,cpus,n_max,processes",
+        [
+            ("100000", 64, 2, 6),  # capped by the 6 (n, k) units
+            ("100000", 4, 2, 4),  # capped by the CPUs
+            ("3", 64, 2, 3),  # the request itself
+            ("0", 5, 8, 5),  # one per CPU
+        ],
+    )
+    def test_pool_size_is_capped(self, monkeypatch, requested, cpus, n_max, processes):
+        started = []
+
+        class SerialPool:  # records the pool size, starts no process
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(harness.multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv(harness.ENV_THREADS, requested)
+        report = verify_counts(n_max)
+        assert started == [processes]
+        assert _without_elapsed(report) == _without_elapsed(verify_counts(n_max, workers=1))
+
+    def test_single_worker_or_unit_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setenv(harness.ENV_THREADS, "100000")
+        assert verify_counts(0).passed  # one unit
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert verify_counts(3).passed  # unknown CPU count: one worker
 
     def test_bad_values_rejected(self, monkeypatch):
         monkeypatch.setenv(harness.ENV_THREADS, "many")

@@ -10,10 +10,8 @@ from delannoy_kit import (
     LatticeError,
     NonIncreasingX,
     NotCentral,
-    Step,
     central_index,
     enumerate_kimberling,
-    interior_vertices,
     make_kimberling,
     parse_step_word,
     path_vertices,
@@ -38,17 +36,6 @@ def all_words(n):
             if e == n_ and e + d == n:
                 found.append(word)
     return found
-
-
-class TestStep:
-    def test_three_values(self):
-        assert {s.value for s in Step} == {"E", "N", "D"}
-
-    @pytest.mark.parametrize(
-        "step,disp", [(Step.E, (1, 0)), (Step.N, (0, 1)), (Step.D, (1, 1))]
-    )
-    def test_displacements(self, step, disp):
-        assert step.displacement == disp
 
 
 class TestParseStepWord:
@@ -84,9 +71,6 @@ class TestParseStepWord:
         assert path.word == text.upper()
         assert parse_step_word(path.word) == path
 
-    def test_steps_property(self):
-        assert parse_step_word("dEn").steps == (Step.D, Step.E, Step.N)
-
 
 class TestPathVertices:
     def test_worked_example_chain(self):
@@ -97,6 +81,10 @@ class TestPathVertices:
 
     def test_single_diagonal(self):
         assert path_vertices(DelannoyPath("D")) == ((0, 0), (1, 1))
+
+    @pytest.mark.parametrize("letter,disp", [("E", (1, 0)), ("N", (0, 1)), ("D", (1, 1))])
+    def test_step_displacements(self, letter, disp):
+        assert path_vertices(DelannoyPath(letter)) == ((0, 0), disp)
 
     @given(st.text(alphabet="END", max_size=40))
     def test_endpoint_matches_step_counts(self, word):
@@ -170,6 +158,8 @@ class TestMakeKimberling:
             make_kimberling([(0, 0), (1.5, 1)])
         with pytest.raises(LatticeError):
             make_kimberling([(0, 0), (1, 1, 2)])
+        with pytest.raises(LatticeError, match="not a pair of integers"):
+            make_kimberling([(0, 0), (1, False), (2, True)])
 
     def test_collinear_interior_vertices_are_significant(self):
         direct = make_kimberling([(0, 0), (2, 2)])
@@ -198,13 +188,13 @@ class TestInteriorVertices:
         path = make_kimberling(
             [(0, 0), (1, 1), (3, 1), (4, 5), (5, 7), (8, 7), (9, 8)]
         )
-        assert interior_vertices(path) == ((1, 1), (3, 1), (4, 5), (5, 7), (8, 7))
+        assert path.interior == ((1, 1), (3, 1), (4, 5), (5, 7), (8, 7))
 
     def test_two_vertex_path_has_none(self):
-        assert interior_vertices(make_kimberling([(0, 0), (2, 1)])) == ()
+        assert make_kimberling([(0, 0), (2, 1)]).interior == ()
 
     def test_single_interior_vertex(self):
-        assert interior_vertices(make_kimberling([(0, 0), (1, 0), (2, 1)])) == ((1, 0),)
+        assert make_kimberling([(0, 0), (1, 0), (2, 1)]).interior == ((1, 0),)
 
 
 class TestFamilyInvariants:
