@@ -4,6 +4,19 @@ Everything here is integer-exact: counts use arbitrary-precision integers
 throughout (central Delannoy numbers outgrow 64 bits near n = 25), and the
 sampler draws from exact counts rather than floating-point weights.
 
+The per-k closed forms (``count_delannoy_by_e``,
+``count_kimberling_by_vertices``) are ``math.comb`` products and serve as
+the independent oracle of the ``counts`` check.  The totals and the
+sampler's k-bounds instead step the per-k terms by their ratio, so a total
+costs O(n) big-integer steps.  The sampler builds a word letter by letter
+from exact counts (sequential sampling, Nijenhuis & Wilf, *Combinatorial
+Algorithms*, 1978), updating the number of arrangements of the letters
+left by one multiply and one exact divide per candidate letter: a draw of
+order n costs O(n) big-integer steps, plus one pass of the term recurrence
+per stream.  Every ``randrange`` call gets the same bound as when each
+count was recomputed from binomials, so the seed-to-path stream is
+unchanged.
+
 Enumeration orders are fixed so golden outputs stay stable:
 
 * ``enumerate_delannoy(n)`` yields words in lexicographic order under
@@ -52,16 +65,30 @@ def count_delannoy_by_e(n: int, k: int) -> int:
 
     A path with k East steps is a linear arrangement of k Es, k Ns, and
     n-k Ds, so the count is the multinomial C(n+k; k, k, n-k), i.e.
-    C(n, k) * C(n+k, k).
+    C(n, k) * C(n+k, k).  Any k outside 0..n counts 0.
     """
     _require_order(n, "count_delannoy_by_e")
+    if not 0 <= k <= n:
+        return 0
     return binomial(n, k) * binomial(n + k, k)
+
+
+def _slice_terms(m: int, j: int) -> Iterator[int]:
+    """C(m, k) * C(j+k, k) for k = 0..m, each from the one before.
+
+    T(k+1) = T(k) * (m-k) * (j+k+1) / (k+1)^2; T(k+1) is an integer, so
+    dividing only after multiplying keeps the division exact.
+    """
+    term = 1
+    for k in range(m + 1):
+        yield term
+        term = term * ((m - k) * (j + k + 1)) // ((k + 1) * (k + 1))
 
 
 def count_delannoy(n: int) -> int:
     """The central Delannoy number: total paths from (0,0) to (n,n)."""
     _require_order(n, "count_delannoy")
-    return sum(count_delannoy_by_e(n, k) for k in range(n + 1))
+    return sum(_slice_terms(n, n))
 
 
 def count_kimberling_by_vertices(i: int, j: int, k: int) -> int:
@@ -70,11 +97,13 @@ def count_kimberling_by_vertices(i: int, j: int, k: int) -> int:
     Interior x-coordinates form a k-subset of {1, ..., i-1} and interior
     y-coordinates independently form a k-multiset over {0, ..., j}, giving
     C(i-1, k) * C(j+k, k).  The degenerate endpoint (0, 0) admits exactly
-    the single-vertex path.
+    the single-vertex path.  Any k outside 0..i-1 counts 0.
     """
     _require_endpoint(i, j, "count_kimberling_by_vertices")
     if i == 0:
         return 1 if (j == 0 and k == 0) else 0
+    if not 0 <= k <= i - 1:
+        return 0
     return binomial(i - 1, k) * binomial(j + k, k)
 
 
@@ -83,7 +112,7 @@ def count_kimberling(i: int, j: int) -> int:
     _require_endpoint(i, j, "count_kimberling")
     if i == 0:
         return 1 if j == 0 else 0
-    return sum(count_kimberling_by_vertices(i, j, k) for k in range(i))
+    return sum(_slice_terms(i - 1, j))
 
 
 def schroder(n: int) -> int:
@@ -173,11 +202,6 @@ def enumerate_kimberling(i: int, j: int) -> Iterator[KimberlingPath]:
         yield from enumerate_kimberling_by_vertices(i, j, k)
 
 
-def _multinomial(d: int, e: int, n_: int) -> int:
-    """Arrangements of a multiset with d + e + n' letters of three kinds."""
-    return math.comb(d + e + n_, d) * math.comb(e + n_, e)
-
-
 def _sample_with_rng(n: int, rng: random.Random, bounds: list[int]) -> DelannoyPath:
     # Draw k exactly: bounds[k] is the number of paths with at most k East
     # steps, so an integer below bounds[-1] = count_delannoy(n) falls in the
@@ -187,25 +211,30 @@ def _sample_with_rng(n: int, rng: random.Random, bounds: list[int]) -> DelannoyP
 
     # Emit a uniform arrangement of {D^(n-k), E^k, N^k} one letter at a
     # time; each candidate letter is chosen with probability proportional
-    # to the number of arrangements of the remaining letters.
-    d, e, n_ = n - k, k, k
+    # to the number of arrangements of the remaining letters.  With M the
+    # arrangements of the `size` letters left, d of them D and e of them E,
+    # removing one D leaves M * d / size of them, exactly; likewise for E,
+    # and N takes the rest.
+    remaining = bounds[k] - bounds[k - 1] if k else bounds[0]
+    d, e = n - k, k
     letters: list[str] = []
-    while d or e or n_:
-        remaining = _multinomial(d, e, n_)
+    for size in range(n + k, 0, -1):
         r = rng.randrange(remaining)
-        ways_d = _multinomial(d - 1, e, n_) if d else 0
+        ways_d = remaining * d // size
         if r < ways_d:
             letters.append("D")
             d -= 1
+            remaining = ways_d
             continue
         r -= ways_d
-        ways_e = _multinomial(d, e - 1, n_) if e else 0
+        ways_e = remaining * e // size
         if r < ways_e:
             letters.append("E")
             e -= 1
+            remaining = ways_e
         else:
             letters.append("N")
-            n_ -= 1
+            remaining -= ways_d + ways_e
     return DelannoyPath("".join(letters))
 
 
@@ -222,6 +251,6 @@ def sample_delannoy_stream(n: int, count: int, seed: int) -> Iterator[DelannoyPa
     """A reproducible stream of ``count`` independent uniform draws."""
     _require_order(n, "sample_delannoy")
     rng = random.Random(seed)
-    bounds = list(accumulate(count_delannoy_by_e(n, k) for k in range(n + 1)))
+    bounds = list(accumulate(_slice_terms(n, n)))
     for _ in range(count):
         yield _sample_with_rng(n, rng, bounds)

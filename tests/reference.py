@@ -1,12 +1,16 @@
 """Test-only references.
 
-Earlier implementations: the package's k-slice enumerator (Algorithm L)
-and its inverse (a height scan) replaced these; tests compare the two
-outputs exactly.  Also the segment-sampling subdiagonal checks, which
-corroborate that testing vertices alone loses nothing between them.
+Earlier implementations: the package's k-slice enumerator (Algorithm L),
+its inverse (a height scan) and its ratio-updated sampler replaced these;
+tests compare the two outputs exactly.  Also the segment-sampling
+subdiagonal checks, which corroborate that testing vertices alone loses
+nothing between them.
 """
 
-from bisect import bisect_left
+import math
+import random
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 from delannoy_kit import (
     BadEndpoint,
@@ -15,6 +19,7 @@ from delannoy_kit import (
     OverlappingAC,
     TaggedValue,
     central_index,
+    count_delannoy_by_e,
     path_vertices,
 )
 
@@ -150,3 +155,40 @@ def sampled_subdiagonal_kimberling(kpath):
             if (y0 * den + m * dy) * den > (x0 * den + m * dx) * n:
                 return False
     return True
+
+
+def _multinomial(d, e, n_):
+    """Arrangements of a multiset with d + e + n' letters of three kinds."""
+    return math.comb(d + e + n_, d) * math.comb(e + n_, e)
+
+
+def _sample_with_rng(n, rng, bounds):
+    draw = rng.randrange(bounds[-1])
+    k = bisect_right(bounds, draw)
+    d, e, n_ = n - k, k, k
+    letters = []
+    while d or e or n_:
+        remaining = _multinomial(d, e, n_)
+        r = rng.randrange(remaining)
+        ways_d = _multinomial(d - 1, e, n_) if d else 0
+        if r < ways_d:
+            letters.append("D")
+            d -= 1
+            continue
+        r -= ways_d
+        ways_e = _multinomial(d, e - 1, n_) if e else 0
+        if r < ways_e:
+            letters.append("E")
+            e -= 1
+        else:
+            letters.append("N")
+            n_ -= 1
+    return DelannoyPath("".join(letters))
+
+
+def sample_delannoy_stream(n, count, seed):
+    """The sampler that recomputed every count from binomials."""
+    rng = random.Random(seed)
+    bounds = list(accumulate(count_delannoy_by_e(n, k) for k in range(n + 1)))
+    for _ in range(count):
+        yield _sample_with_rng(n, rng, bounds)

@@ -186,6 +186,12 @@ class TestCount:
             ("count", "delannoy", "--n", "3", "--k", "5"),
             ("count", "delannoy", "--n", "3", "--k", "-1"),
             ("count", "kimberling", "--i", "3", "--j", "2", "--k", "7"),
+            # k below -n (-j on the vertex side) once reached math.comb with
+            # a negative n and exited 2
+            ("count", "delannoy", "--n", "0", "--k", "-1"),
+            ("count", "delannoy", "--n", "5", "--k", "-100"),
+            ("count", "kimberling", "--i", "2", "--j", "0", "--k", "-1"),
+            ("count", "kimberling", "--i", "0", "--j", "0", "--k", "-1"),
         ],
     )
     def test_out_of_range_k_counts_zero(self, capsys, argv):

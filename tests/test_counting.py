@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from delannoy_kit import (
     sample_delannoy_stream,
     schroder,
 )
+from delannoy_kit.counting import _slice_terms
 
 # frozen from a raw-product brute force over words of length n..2n
 CENTRAL_COUNTS = [1, 3, 13, 63, 321, 1683, 8989, 48639, 265729]
@@ -37,6 +39,9 @@ SAMPLE_200_SEED_31 = (
     "DENDNENDNEEDEEDDDENEENENEEDENNDEDNNNNDDENNNENNEEENNENENENEENNNDDENDENENN"
     "NENNEEEDNEENEENEEEEEDNENNNENNNNENDEENNENDDDEEEN"
 )
+# SHA-256 of the newline-joined words of sample_delannoy_stream(1024, 3, seed=5),
+# recorded while every count was still recomputed from binomials
+SAMPLE_1024_SEED_5_SHA256 = "a1ffba37375e73122bacc8486ee926f25039c16baadcca3c7e1fb3b53f3e304d"
 D2_LEX = [
     "DD", "DEN", "DNE", "EDN", "EENN", "END", "ENEN",
     "ENNE", "NDE", "NED", "NEEN", "NENE", "NNEE",
@@ -95,11 +100,31 @@ class TestDelannoyCounts:
         with pytest.raises(ValueError):
             count_delannoy_by_e(-1, 0)
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_out_of_range_k_counts_zero(self, n):
+        for k in (-n - 2, -n - 1, -1, n + 1, n + 2, -(10**6), 10**6):
+            assert count_delannoy_by_e(n, k) == 0
+
     def test_totals(self):
         assert count_delannoy(0) == 1
         assert count_delannoy(1) == 3
         assert count_delannoy(8) == 265729
         assert [count_delannoy(n) for n in range(9)] == CENTRAL_COUNTS
+
+    def test_terms_match_closed_form_up_to_300(self):
+        for n in range(301):
+            assert list(_slice_terms(n, n)) == [count_delannoy_by_e(n, k) for k in range(n + 1)]
+
+    def test_totals_match_three_term_recurrence_up_to_2000(self):
+        # n D(n) = 3(2n-1) D(n-1) - (n-1) D(n-2), independent of the per-k terms
+        assert count_delannoy(0) == 1
+        assert count_delannoy(1) == 3
+        prev, cur = 1, 3
+        for n in range(2, 2001):
+            quotient, remainder = divmod(3 * (2 * n - 1) * cur - (n - 1) * prev, n)
+            assert remainder == 0
+            prev, cur = cur, quotient
+            assert count_delannoy(n) == cur
 
 
 class TestKimberlingCounts:
@@ -124,6 +149,23 @@ class TestKimberlingCounts:
         assert count_kimberling(0, 0) == 1
         assert count_kimberling(0, 3) == 0
         assert count_kimberling_by_vertices(0, 0, 0) == 1
+
+    @pytest.mark.parametrize("i,j", [(0, 0), (0, 2), (1, 0), (2, 0), (4, 3)])
+    def test_out_of_range_k_counts_zero(self, i, j):
+        for k in (-j - 2, -j - 1, -1, max(i, 1), i + 1, -(10**6), 10**6):
+            assert count_kimberling_by_vertices(i, j, k) == 0
+
+    def test_terms_match_closed_form_up_to_300(self):
+        for i in range(1, 302):
+            for j in (0, 2 * i):
+                expected = [count_kimberling_by_vertices(i, j, k) for k in range(i)]
+                assert list(_slice_terms(i - 1, j)) == expected
+
+    def test_totals_are_per_k_sums_on_grid(self):
+        for i in range(41):
+            for j in range(41):
+                per_k = sum(count_kimberling_by_vertices(i, j, k) for k in range(max(i, 1)))
+                assert count_kimberling(i, j) == per_k
 
     def test_refined_identity_up_to_64(self):
         for n in range(65):
@@ -260,6 +302,10 @@ class TestSampling:
         # recorded before the count moved out of the per-draw loop
         assert [p.word for p in sample_delannoy_stream(12, 5, seed=7)] == SAMPLE_12_SEED_7
         assert sample_delannoy(200, 31).word == SAMPLE_200_SEED_31
+
+    def test_seed_to_path_stream_pinned_at_order_1024(self):
+        words = "\n".join(p.word for p in sample_delannoy_stream(1024, 3, seed=5))
+        assert hashlib.sha256(words.encode()).hexdigest() == SAMPLE_1024_SEED_5_SHA256
 
     def test_samples_are_central(self):
         for path in sample_delannoy_stream(7, 50, seed=3):

@@ -1,18 +1,24 @@
-"""The Algorithm L enumerator and the height-scan inverse against the
-implementations they replaced, kept in ``reference.py``."""
+"""The Algorithm L enumerator, the height-scan inverse and the
+ratio-updated sampler against the implementations they replaced, kept in
+``reference.py``; and the sampled paths beyond the exhaustive range."""
 
 import json
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
 import reference
 from delannoy_kit import (
+    DelannoyPath,
     LatticeError,
+    diagonal_flags,
     enumerate_delannoy,
     enumerate_delannoy_by_e,
     enumerate_kimberling,
     inverse_parts,
+    is_subdiagonal_delannoy,
+    is_subdiagonal_kimberling,
     merge_tagged,
     phi,
     phi_inverse,
@@ -84,3 +90,33 @@ def test_sampled_paths_beyond_the_exhaustive_range(capsys, n):
         merged = json.loads(capsys.readouterr().out)["merged"]
         assert "".join(TAG_TO_LETTER[t[-1]] for t in merged) == path.word
         assert [int(t[:-1]) for t in merged] == sorted(int(t[:-1]) for t in merged)
+
+
+@given(n=st.integers(0, 80), count=st.integers(0, 5), seed=st.integers())
+def test_sampler_stream_matches_multinomial_reference(n, count, seed):
+    words = [p.word for p in sample_delannoy_stream(n, count, seed)]
+    assert words == [p.word for p in reference.sample_delannoy_stream(n, count, seed)]
+
+
+def _rotated_below_diagonal(path):
+    """The cyclic shift of a nonempty word that starts just after its
+    N-count minus E-count peaks; every prefix of it then has no more Ns
+    than Es, so it is subdiagonal (the cycle lemma)."""
+    heights = list(accumulate((ch == "N") - (ch == "E") for ch in path.word))
+    start = heights.index(max(heights)) + 1
+    return DelannoyPath(path.word[start:] + path.word[:start])
+
+
+@pytest.mark.parametrize("n", [50, 200, 500, 1000])
+def test_sampled_geometry_beyond_the_exhaustive_range(n):
+    transported = set()
+    for sampled in sample_delannoy_stream(n, 2, seed=n):
+        for path in (sampled, _rotated_below_diagonal(sampled)):
+            image = phi(path)
+            below = is_subdiagonal_delannoy(path)
+            assert is_subdiagonal_kimberling(image) == below
+            transported.add(below)
+            flags = diagonal_flags(path)
+            assert flags.east_weakly_above == flags.vertex_strictly_above
+            assert all(y * (n + 1) != x * n for x, y in image.interior)
+    assert transported == {False, True}
