@@ -180,12 +180,12 @@ def inverse_parts(
     interior y-coordinates, C the ascending complement {1..n} \\ A.  Raises
     ``BadEndpoint`` when the terminal vertex has no (n+1, n) shape.
     """
-    n = _image_order(kpath)
     a = [x for x, _ in kpath.interior]
     b = [y for _, y in kpath.interior]
-    present = set(a)
-    c = [v for v in range(1, n + 1) if v not in present]
-    return a, b, c, merge_tagged(a, b, c)
+    slots = _height_slots(_image_order(kpath), a, b)
+    c = [h for h, slot in enumerate(slots) if slot[:1] == "D"]
+    merged = [TaggedValue(h, LETTER_TO_TAG[ch]) for h, slot in enumerate(slots) for ch in slot]
+    return a, b, c, merged
 
 
 def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:

@@ -8,6 +8,7 @@ render.  Results go to stdout, diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -251,9 +252,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if args.out in (None, "-"):
         print(svg)
     else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(svg)
-            handle.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(svg)
+                handle.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 2
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
@@ -328,11 +333,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` builds on its first call and reuses after.
+
+    ``parse_args`` leaves a parser unchanged, so one tree serves every request.
+    """
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
-    parser = build_parser()
+    """Parse arguments and dispatch; returns the process exit code.
+
+    May be called any number of times in one process; the parser is built once.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -18,8 +18,8 @@ from delannoy_kit import (
     sample_delannoy_stream,
     schroder,
 )
-from delannoy_kit import harness
-from delannoy_kit.cli import parse_vertex_text, run
+from delannoy_kit import cli, harness
+from delannoy_kit.cli import build_parser, parse_vertex_text, run
 
 WORKED_WORD = "NEEDNNNEDDEEN"
 WORKED_JSON = "[[0,0],[1,1],[3,1],[4,5],[5,7],[8,7],[9,8]]"
@@ -348,6 +348,14 @@ class TestRender:
         assert "wrote" in err
         ET.fromstring(target.read_text())
 
+    @pytest.mark.parametrize("target", ["missing/pair.svg", "."], ids=["no-dir", "is-dir"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, target):
+        code, out, err = invoke(capsys, "render", "--word", "NE", "--out", str(tmp_path / target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_flags_change_output(self, capsys):
         _, full, _ = invoke(capsys, "render", "--word", "EN", "--labels")
         _, bare, _ = invoke(capsys, "render", "--word", "EN", "--no-grid", "--no-diagonal")
@@ -381,6 +389,56 @@ class TestTopLevel:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "41586\n", "")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: reusing it leaks nothing from one request to the next
+
+REUSE_SEQUENCE = [
+    ["frobnicate"],
+    ["sample", "--count", "2"],
+    ["--help"],
+    ["map", "--debug", WORKED_WORD],
+    ["map", WORKED_WORD],
+    ["unmap", WORKED_JSON, "--debug"],
+    ["unmap", WORKED_JSON],
+    ["count", "delannoy", "--n", "5", "--k", "2"],
+    ["count", "delannoy", "--n", "5"],
+]
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cached = cli._parser
+    cached.cache_clear()
+    yield
+    cached.cache_clear()
+
+
+def _run_all(capsys, sequence):
+    return [invoke(capsys, *argv) for argv in sequence]
+
+
+def test_reused_parser_matches_fresh_parser(capsys, monkeypatch, fresh_parser_cache):
+    reused = _run_all(capsys, REUSE_SEQUENCE)
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = _run_all(capsys, REUSE_SEQUENCE)
+    assert [r[0] for r in reused] == [2, 2, 0, 0, 0, 0, 0, 0, 0]
+    for argv, got, expected in zip(REUSE_SEQUENCE, reused, fresh):
+        assert got == expected, argv
+
+
+def test_run_builds_parser_once(capsys, monkeypatch, fresh_parser_cache):
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    _run_all(capsys, REUSE_SEQUENCE * 3)
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +533,17 @@ CLI_ARGV = {
 
 
 @pytest.mark.parametrize("command", sorted(CLI_ARGV))
-def test_exit_code_contract(command):
+def test_exit_code_contract(command, tmp_path):
+    strategy = CLI_ARGV[command]
+    if command == "render":  # --out to a writable file, a missing directory, a directory
+        targets = st.sampled_from([tmp_path / "x.svg", tmp_path / "missing" / "x.svg", tmp_path])
+        strategy = st.one_of(
+            _argv(strategy, _opt("--out", targets)),
+            _argv(st.just(["render", "--word", WORKED_WORD, "--out"]), _one(targets)),
+        )
+
     @settings(max_examples=40, deadline=None)
-    @given(CLI_ARGV[command])
+    @given(strategy)
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
