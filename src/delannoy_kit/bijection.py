@@ -24,30 +24,13 @@ of equal B values.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .lattice_core import (
-    DelannoyPath,
-    KimberlingPath,
-    LatticeError,
-    NotCentral,
-    _image_order,
-)
+from .lattice_core import DelannoyPath, KimberlingPath, NotCentral, _image_order
 
-TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
-LETTER_TO_TAG = {letter: tag for tag, letter in TAG_TO_LETTER.items()}
-
-
-class OverlappingAC(LatticeError):
-    """The A and C value sets intersect; they must partition disjoint heights."""
-
-    def __init__(self, overlap: set[int]) -> None:
-        super().__init__(f"A and C share values {sorted(overlap)}")
-        self.overlap = overlap
+LETTER_TO_TAG = {"N": "A", "E": "B", "D": "C"}
 
 
 @dataclass(frozen=True)
@@ -118,38 +101,6 @@ def phi(path: DelannoyPath) -> KimberlingPath:
     return KimberlingPath(vertices)
 
 
-def merge_tagged(
-    a_set: Sequence[int],
-    b_multiset: Sequence[int],
-    c_set: Sequence[int],
-) -> list[TaggedValue]:
-    """Merge A, B and C into weakly increasing order, A and C ahead of equal B.
-
-    ``a_set`` and ``c_set`` must be strictly increasing with values >= 1
-    and disjoint from each other; ``b_multiset`` must be weakly increasing.
-    Ranking the A and C values 1..m, and giving each B value the rank of
-    the largest A or C value not above it, reduces the merge to the height
-    scan of the inverse.
-    """
-    a = list(a_set)
-    b = list(b_multiset)
-    c = list(c_set)
-    _require_increasing(a, "a_set", strict=True)
-    _require_increasing(b, "b_multiset", strict=False)
-    _require_increasing(c, "c_set", strict=True)
-    if (a and a[0] < 1) or (c and c[0] < 1):
-        raise LatticeError("A and C values must be >= 1")
-    overlap = set(a) & set(c)
-    if overlap:
-        raise OverlappingAC(overlap)
-    heights = sorted(a + c)
-    rank = partial(bisect_right, heights)
-    letters = "".join(_height_slots(len(heights), map(rank, a), map(rank, b)))
-    return [
-        TaggedValue(v, LETTER_TO_TAG[ch]) for v, ch in zip(sorted(a + b + c), letters)
-    ]
-
-
 def _height_slots(n: int, a: Iterable[int], b: Iterable[int]) -> list[str]:
     """The height scan: slot h spells the steps that end at height h.
 
@@ -164,11 +115,6 @@ def _height_slots(n: int, a: Iterable[int], b: Iterable[int]) -> list[str]:
     for y in b:
         slots[y] += "E"
     return slots
-
-
-def tagged_to_word(tagged: Iterable[TaggedValue]) -> str:
-    """Spell a tagged sequence as a step word via A -> N, B -> E, C -> D."""
-    return "".join(TAG_TO_LETTER[t.tag] for t in tagged)
 
 
 def inverse_parts(
@@ -198,9 +144,3 @@ def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:
     xs, ys = map(itemgetter(0), interior), map(itemgetter(1), interior)
     return DelannoyPath("".join(_height_slots(_image_order(kpath), xs, ys)))
 
-
-def _require_increasing(seq: list[int], name: str, strict: bool) -> None:
-    for i in range(1, len(seq)):
-        if seq[i] < seq[i - 1] or (strict and seq[i] == seq[i - 1]):
-            kind = "strictly" if strict else "weakly"
-            raise LatticeError(f"{name} must be {kind} increasing")

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: map, unmap, count, enumerate, sample, classify, verify,
-render.  Results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 verification failure, 2 usage or validation error.
+render.  Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
+1 verification failure, 2 usage or validation error, and 141 (128 + SIGPIPE,
+as a shell reports that signal) when stdout closes early, as in ``| head -1``.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from typing import Sequence
@@ -360,4 +362,10 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early: see "Note on SIGPIPE" in the signal docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -23,7 +23,7 @@ from .lattice_core import (
     _image_order,
     central_index,
 )
-from .bijection import step_labels
+from .bijection import phi
 
 CASE_EQUAL = "equal"
 CASE_MORE_BEFORE_EAST = "more_before_east"
@@ -121,13 +121,11 @@ def east_ends(path: DelannoyPath) -> list[EastEnd]:
 
 def diagonal_flags(path: DelannoyPath) -> DiagonalFlags:
     """Evaluate both diagonal comparisons for every East index of a central path."""
-    labels = step_labels(path)
-    n = len(labels.a_labels) + len(labels.c_labels)
+    image = phi(path)
+    n = image.endpoint[1]
     ends, _, _ = walk_east_steps(path.word)
     east_flags = tuple(py >= px for px, py in ends)
-    vertex_flags = tuple(
-        y * (n + 1) > x * n for x, y in zip(labels.a_labels, labels.b_labels)
-    )
+    vertex_flags = tuple(y * (n + 1) > x * n for x, y in image.interior)
     return DiagonalFlags(east_flags, vertex_flags)
 
 

@@ -14,6 +14,11 @@ environment variable asks for a worker count (0 = one per CPU, unset = 1);
 a sweep starts at most one worker per unit and per CPU, so a larger
 request is capped rather than passed to the pool.  Reports are
 deterministic either way, up to the elapsed field.
+
+The roundtrip check marks each image's lexicographic rank in its (n, k)
+slice in a bytearray, and the vertex enumerator must yield ranks 0, 1, 2,
+... in order.  Its ``image_set`` record lists the interior coordinates of
+the lowest unhit ranks and of the smallest images outside the slice.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from itertools import islice
+from math import comb
 from typing import Any, Callable, Iterable
 
 from .bijection import phi, phi_inverse, step_labels
@@ -164,9 +171,48 @@ def _vertex_list(kpath) -> list[list[int]]:
     return [list(v) for v in kpath.vertices]
 
 
-def _xy_key(kpath) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(x-coordinates, y-coordinates) of the interior vertices."""
-    return tuple(zip(*kpath.interior)) or ((), ())
+def _lex_subset(m: int, k: int, rank: int) -> list[int]:
+    """The k-subset of range(m), ascending, with this lexicographic rank."""
+    subset, c = [], 0
+    for left in range(k, 0, -1):
+        while rank >= (block := comb(m - 1 - c, left - 1)):  # the subsets with c next
+            rank, c = rank - block, c + 1
+        subset.append(c)
+        c += 1
+    return subset
+
+
+class _SliceRank:
+    """Lexicographic ranks in the slice of paths to (n+1, n) with k interior vertices.
+
+    In ``enumerate_kimberling_by_vertices`` order, rank = x-set rank among the
+    k-subsets of 1..n times C(n+k, k), plus the rank of y_1 <= ... <= y_k as
+    the k-subset {y_t + t} of 0..n+k-1.  A k-subset c_0 < ... < c_{k-1} of
+    range(m) has rank C(m, k) - 1 - sum C(m-1-c_t, k-t) (TAOCP 4A 7.2.1.3);
+    one table per vertex holds its terms, so a rank is one sum of lookups.
+    """
+
+    def __init__(self, n: int, k: int) -> None:
+        self.n, self.k, self._y_count = n, k, comb(n + k, k)
+        self.size = comb(n, k) * self._y_count
+        terms = ({(x, y): -comb(n - x, k - t) * self._y_count - comb(n + k - 1 - y - t, k - t)
+                  for x in range(1, n + 1) for y in range(n + 1)} for t in range(k))
+        self._tables = [{(0, 0): self.size - 1}, *terms, {(n + 1, n): 0}]
+
+    def rank(self, kpath) -> int | None:
+        """The path's rank; None unless it has one vertex per table, each a key of it."""
+        if len(kpath.vertices) != len(self._tables):
+            return None
+        try:
+            return sum(map(dict.__getitem__, self._tables, kpath.vertices))
+        except KeyError:
+            return None
+
+    def key(self, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The interior (x-coordinates, y-coordinates) of the path with this rank."""
+        x_rank, y_rank = divmod(rank, self._y_count)
+        xs = tuple(c + 1 for c in _lex_subset(self.n, self.k, x_rank))
+        return xs, tuple(c - t for t, c in enumerate(_lex_subset(self.n + self.k, self.k, y_rank)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +221,20 @@ def _xy_key(kpath) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _roundtrip_unit(unit: tuple[int, int]) -> UnitResult:
     n, k = unit
-    cases = 0
+    words = enumerated = 0
     failures = FailureLog()
-    image_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    ranks = _SliceRank(n, k)
+    hits = bytearray(ranks.size)
+    unexpected: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     for path in enumerate_delannoy_by_e(n, k):
-        cases += 1
+        words += 1
         image = phi(path)
-        image_keys.append(_xy_key(image))
+        rank = ranks.rank(image)
+        if rank is not None:
+            hits[rank] = 1
+        elif (key := tuple(zip(*image.interior)) or ((), ())) not in unexpected:
+            unexpected = sorted([*unexpected, key])[:3]
         back = phi_inverse(image)
         if back.word != path.word:
             failures.add(
@@ -194,11 +246,10 @@ def _roundtrip_unit(unit: tuple[int, int]) -> UnitResult:
                 actual=back.word,
             )
 
-    image_keys.sort()
-    vertex_keys: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    in_order = True
     for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
-        cases += 1
-        vertex_keys.append(_xy_key(kpath))
+        in_order = in_order and ranks.rank(kpath) == enumerated
+        enumerated += 1
         back_path = phi(phi_inverse(kpath))
         if back_path != kpath:
             failures.add(
@@ -210,19 +261,15 @@ def _roundtrip_unit(unit: tuple[int, int]) -> UnitResult:
                 actual=_vertex_list(back_path),
             )
 
-    # enumerate_kimberling_by_vertices yields keys in sorted order, so list
-    # equality against the sorted image keys is set equality with multiplicity.
-    if image_keys != vertex_keys:
-        image_set = set(image_keys)
-        vertex_set = set(vertex_keys)
+    if not in_order or enumerated != ranks.size:
+        failures.add("vertex_order", n=n, k=k, slice_size=ranks.size, enumerated=enumerated)
+    if unexpected or words != ranks.size or 0 in hits:
+        unhit = (rank for rank, hit in enumerate(hits) if not hit)
+        missing = [ranks.key(rank) for rank in islice(unhit, 3)]
         failures.add(
-            "image_set",
-            n=n,
-            k=k,
-            missing_from_image=sorted(vertex_set - image_set)[:3],
-            unexpected_in_image=sorted(image_set - vertex_set)[:3],
+            "image_set", n=n, k=k, missing_from_image=missing, unexpected_in_image=unexpected
         )
-    return cases, failures, None
+    return words + enumerated, failures, None
 
 
 def verify_roundtrip(n_max: int, workers: int | None = None) -> VerificationReport:
@@ -231,6 +278,15 @@ def verify_roundtrip(n_max: int, workers: int | None = None) -> VerificationRepo
     Cases counted: one per word-side path (inverse-after-forward) and one
     per vertex-side path (forward-after-inverse), so the total is twice the
     family size summed over n.
+
+    Each image's rank in its (n, k) slice (``_SliceRank``) is marked in a
+    bytearray.  A unit whose images are not the slice, each path once,
+    records one ``image_set`` failure after its round trips:
+    ``missing_from_image`` holds the ``(xs, ys)`` interior coordinates of
+    the three lowest unhit ranks, ``unexpected_in_image`` the three
+    smallest distinct ones outside the slice, both sorted.  A vertex
+    enumerator that does not yield ranks 0, 1, 2, ... through the slice
+    records one ``vertex_order`` before that.
     """
     return _sweep("roundtrip", _roundtrip_unit, n_max, workers)
 

@@ -18,6 +18,7 @@ Both types are immutable values; every operation in this module is pure.
 
 from __future__ import annotations
 
+import copyreg
 import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -30,6 +31,10 @@ _ALPHABET = frozenset("END")
 
 class LatticeError(ValueError):
     """Base class for path construction and validation failures."""
+
+    def __reduce__(self):
+        # rebuild from the message and fields; a subclass's __init__ takes the fields
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidCharacter(LatticeError):
@@ -122,9 +127,6 @@ class DelannoyPath:
     @property
     def d_count(self) -> int:
         return self.word.count("D")
-
-    def is_central(self) -> bool:
-        return self.e_count == self.n_count
 
     def __len__(self) -> int:
         return len(self.word)

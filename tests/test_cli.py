@@ -390,6 +390,26 @@ class TestTopLevel:
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "41586\n", "")
 
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # as `enumerate delannoy --n 7 | head -1`: about 0.5 MB of words, far
+        # more than a pipe buffers, so the writer meets the closed pipe
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "delannoy_kit", "enumerate", "delannoy", "--n", "7"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert child.stdout.readline() == b"DDDDDDD\n"
+            child.stdout.close()
+            stderr = child.stderr.read()
+            assert child.wait(timeout=60) == 141
+        finally:
+            child.kill()
+            child.wait()
+        assert b"Traceback" not in stderr
+
 
 # ---------------------------------------------------------------------------
 # one parser per process: reusing it leaks nothing from one request to the next

@@ -1,10 +1,21 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from delannoy_kit import (
+    DelannoyPath,
     count_delannoy,
     count_delannoy_by_e,
+    count_kimberling_by_vertices,
+    enumerate_delannoy_by_e,
+    enumerate_kimberling_by_vertices,
     make_kimberling,
     verify_counts,
     verify_per_step,
@@ -153,6 +164,13 @@ class TestFailureRecording:
         assert report.details["schroder"]["2"]["kimberling"] == 6
 
 
+# a pool worker sees a monkeypatched harness global only if it was forked
+NEEDS_FORK = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="workers started without fork do not inherit the patched phi",
+)
+
+
 def _without_elapsed(report):
     payload = report.to_json_dict()
     del payload["elapsed_ms"]
@@ -170,6 +188,13 @@ def _forward(n, k, vertices, actual):
     return {
         "kind": "forward_roundtrip", "n": n, "k": k,
         "input_vertices": vertices, "expected": vertices, "actual": actual,
+    }
+
+
+def _image_set(n, k, missing, unexpected):
+    return {
+        "kind": "image_set", "n": n, "k": k,
+        "missing_from_image": missing, "unexpected_in_image": unexpected,
     }
 
 
@@ -257,6 +282,234 @@ class TestGoldenFailureRecords:
             },
         }
         assert _without_elapsed(verify_subdiagonal(2, workers=1)) == json.dumps(expected)
+
+
+    # The corrupted runs below were recorded before the image check ranked
+    # the images: whole reports of verify_roundtrip(5), with 1 and 2 workers.
+    # Each corruption touches one word per (n, k) slice with k >= 1, the
+    # last in enumeration order, N^k E^k D^(n-k), so every slice's
+    # image_set record follows its two round-trip records.
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+    def test_roundtrip_with_colliding_phi(self, monkeypatch, workers):
+        def colliding_phi(path):  # shares the image of D^(n-k) E^k N^k
+            if _last_in_slice(path.word):
+                k = path.word.count("E")
+                d = len(path.word) - 2 * k
+                return original_phi(DelannoyPath("D" * d + "E" * k + "N" * k))
+            return original_phi(path)
+
+        original_phi = harness.phi
+        monkeypatch.setattr(harness, "phi", colliding_phi)
+        expected = {
+            "check_name": "roundtrip",
+            "n_range": [0, 5],
+            "total_cases": 4168,
+            "failure_count": 45,
+            "failures": [
+                _inverse(1, 1, "NE", "EN"),
+                _forward(1, 1, [[0, 0], [1, 1], [2, 1]], [[0, 0], [1, 0], [2, 1]]),
+                _image_set(1, 1, [[[1], [1]]], []),
+                _inverse(2, 1, "NED", "DEN"),
+                _forward(2, 1, [[0, 0], [1, 1], [3, 2]], [[0, 0], [2, 1], [3, 2]]),
+                _image_set(2, 1, [[[1], [1]]], []),
+                _inverse(2, 2, "NNEE", "EENN"),
+                _forward(
+                    2, 2, [[0, 0], [1, 2], [2, 2], [3, 2]], [[0, 0], [1, 0], [2, 0], [3, 2]]
+                ),
+                _image_set(2, 2, [[[1, 2], [2, 2]]], []),
+                _inverse(3, 1, "NEDD", "DDEN"),
+            ],
+            "passed": False,
+            "details": {},
+        }
+        report = verify_roundtrip(5, workers=workers)
+        assert _without_elapsed(report) == json.dumps(expected)
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+    def test_roundtrip_with_out_of_slice_phi(self, monkeypatch, workers):
+        def dropping_phi(path):  # drops the last interior vertex
+            image = original_phi(path)
+            if _last_in_slice(path.word):
+                return make_kimberling(image.vertices[:-2] + image.vertices[-1:])
+            return image
+
+        original_phi = harness.phi
+        monkeypatch.setattr(harness, "phi", dropping_phi)
+        expected = {
+            "check_name": "roundtrip",
+            "n_range": [0, 5],
+            "total_cases": 4168,
+            "failure_count": 45,
+            "failures": [
+                _inverse(1, 1, "NE", "D"),
+                _forward(1, 1, [[0, 0], [1, 1], [2, 1]], [[0, 0], [2, 1]]),
+                _image_set(1, 1, [[[1], [1]]], [[[], []]]),
+                _inverse(2, 1, "NED", "DD"),
+                _forward(2, 1, [[0, 0], [1, 1], [3, 2]], [[0, 0], [3, 2]]),
+                _image_set(2, 1, [[[1], [1]]], [[[], []]]),
+                _inverse(2, 2, "NNEE", "NDE"),
+                _forward(2, 2, [[0, 0], [1, 2], [2, 2], [3, 2]], [[0, 0], [1, 2], [3, 2]]),
+                _image_set(2, 2, [[[1, 2], [2, 2]]], [[[1], [2]]]),
+                _inverse(3, 1, "NEDD", "DDD"),
+            ],
+            "passed": False,
+            "details": {},
+        }
+        report = verify_roundtrip(5, workers=workers)
+        assert _without_elapsed(report) == json.dumps(expected)
+
+
+def _last_in_slice(word):
+    k = word.count("E")
+    return k >= 1 and word == "N" * k + "E" * k + "D" * (len(word) - 2 * k)
+
+
+def _xy_key(kpath):
+    return tuple(zip(*kpath.interior)) or ((), ())
+
+
+def _image_set_by_key_sets(n, k):
+    """The image_set record of unit (n, k) as set differences of key tuples."""
+    images = sorted(_xy_key(harness.phi(path)) for path in enumerate_delannoy_by_e(n, k))
+    slice_keys = [_xy_key(kpath) for kpath in enumerate_kimberling_by_vertices(n + 1, n, k)]
+    if images == slice_keys:
+        return None
+    return _image_set(
+        n, k,
+        sorted(set(slice_keys) - set(images))[:3],
+        sorted(set(images) - set(slice_keys))[:3],
+    )
+
+
+def _collide_ne(path):  # words ending NE share the image of the word ending EN
+    if path.word.endswith("NE"):
+        return UNPATCHED_PHI(DelannoyPath(path.word[:-2] + "EN"))
+    return UNPATCHED_PHI(path)
+
+
+def _drop_after_n(path):  # words starting with N lose their last interior vertex
+    image = UNPATCHED_PHI(path)
+    if path.word.startswith("N") and len(image.vertices) > 2:
+        return make_kimberling(image.vertices[:-2] + image.vertices[-1:])
+    return image
+
+
+UNPATCHED_PHI = harness.phi
+
+
+class TestRankedImageCheck:
+    @pytest.mark.parametrize("n", range(8))
+    def test_rank_is_the_enumeration_index(self, n):
+        for k in range(n + 1):
+            ranks = harness._SliceRank(n, k)
+            assert ranks.size == count_kimberling_by_vertices(n + 1, n, k)
+            slice_ = enumerate_kimberling_by_vertices(n + 1, n, k)
+            assert [ranks.rank(kpath) for kpath in slice_] == list(range(ranks.size))
+
+    @given(st.data())
+    def test_unrank_after_rank_is_the_identity(self, data):
+        n = data.draw(st.integers(0, 30), label="n")
+        k = data.draw(st.integers(0, n), label="k")
+        xs = sorted(data.draw(st.permutations(range(1, n + 1)))[:k])
+        ys = sorted(data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k)))
+        ranks = harness._SliceRank(n, k)
+        rank = ranks.rank(make_kimberling([(0, 0), *zip(xs, ys), (n + 1, n)]))
+        assert 0 <= rank < ranks.size
+        assert ranks.key(rank) == (tuple(xs), tuple(ys))
+        other = data.draw(st.integers(0, ranks.size - 1), label="other")
+        other_xs, other_ys = ranks.key(other)
+        path = make_kimberling([(0, 0), *zip(other_xs, other_ys), (n + 1, n)])
+        assert ranks.rank(path) == other
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(0, 0), (1, 1), (4, 3)],  # one interior vertex too few
+            [(0, 0), (1, 0), (2, 1), (3, 1), (4, 3)],  # one too many
+            [(0, 0), (1, 0), (2, 1), (4, 4)],  # endpoint of another order
+            [(0, 0), (1, 0), (2, 1)],  # a shorter path to another endpoint
+            [(0, 0)],
+        ],
+    )
+    def test_paths_outside_the_slice_have_no_rank(self, vertices):
+        assert harness._SliceRank(3, 2).rank(make_kimberling(vertices)) is None
+
+    @pytest.mark.parametrize("corrupted_phi", [_collide_ne, _drop_after_n])
+    def test_image_set_records_match_key_set_differences(self, monkeypatch, corrupted_phi):
+        monkeypatch.setattr(harness, "phi", corrupted_phi)
+        monkeypatch.setattr(harness, "FAILURE_CAP", 10**6)
+        recorded = 0
+        for n in range(6):
+            for k in range(n + 1):
+                _, failures, _ = harness._roundtrip_unit((n, k))
+                image_sets = [f for f in failures.records if f["kind"] == "image_set"]
+                expected = _image_set_by_key_sets(n, k)
+                assert image_sets == ([expected] if expected else [])
+                recorded += len(image_sets)
+        assert recorded >= 10
+
+    @pytest.mark.parametrize(
+        "corrupt, enumerated",
+        [
+            (lambda paths: reversed(list(paths)), 6),
+            (lambda paths: list(paths)[:-1], 5),
+            (lambda paths: list(paths) * 2, 12),
+        ],
+        ids=["reversed", "short", "twice"],
+    )
+    def test_vertex_enumerator_out_of_rank_order(self, monkeypatch, corrupt, enumerated):
+        monkeypatch.setattr(
+            harness,
+            "enumerate_kimberling_by_vertices",
+            lambda i, j, k: corrupt(enumerate_kimberling_by_vertices(i, j, k)),
+        )
+        _, failures, _ = harness._roundtrip_unit((2, 1))
+        assert failures.records == [
+            {"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": enumerated}
+        ]
+
+    def test_unit_memory_is_under_64_bytes_per_path(self):
+        unit = (6, 4)
+        harness._roundtrip_unit(unit)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            cases, failures, _ = harness._roundtrip_unit(unit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert failures.count == 0
+        assert peak < 64 * (cases // 2)
+
+
+class TestWorkerErrors:
+    def test_failing_pool_worker_raises_instead_of_hanging(self):
+        # BadEndpoint from phi_inverse inside a pool worker must reach the
+        # caller; when it could not be unpickled, pool.map never returned
+        script = """
+import multiprocessing
+from delannoy_kit import BadEndpoint, harness, make_kimberling
+
+def wrong_endpoint_phi(path):
+    image = harness_phi(path)
+    n = image.endpoint[1]
+    return make_kimberling(image.vertices[:-1] + ((n + 2, n),))
+
+harness_phi = harness.phi
+harness.phi = wrong_endpoint_phi
+multiprocessing.set_start_method("fork")
+try:
+    harness.verify_roundtrip(5, workers=2)
+except BadEndpoint as exc:
+    print(type(exc).__name__, exc.x == exc.y + 2)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "BadEndpoint True\n"), done.stderr
 
 
 class TestWorkerResolution:

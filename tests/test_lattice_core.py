@@ -1,7 +1,11 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import OverlappingAC
 from delannoy_kit import (
+    BadEndpoint,
     BadOrigin,
     CentralIndex,
     DecreasingY,
@@ -212,3 +216,34 @@ class TestFamilyInvariants:
             assert all(1 <= x <= i - 1 for x in xs)
             assert all(0 <= y <= j for y in ys)
             assert ys == sorted(ys)
+
+
+class TestErrorPickling:
+    """A worker process sends its exception back to the pool by pickling it;
+    an error that does not survive the trip hangs the pool's result thread."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            LatticeError("vertex [1] is not a pair of integers"),
+            InvalidCharacter(3, "x"),
+            NotCentral(2, 1),
+            BadOrigin(),
+            BadOrigin((1, 0)),
+            NonIncreasingX(2),
+            DecreasingY(4),
+            BadEndpoint(2, 2),
+            OverlappingAC({2, 5}),
+        ],
+        ids=[
+            "LatticeError", "InvalidCharacter", "NotCentral", "BadOrigin-empty",
+            "BadOrigin-point", "NonIncreasingX", "DecreasingY", "BadEndpoint",
+            "OverlappingAC",
+        ],
+    )
+    def test_round_trip_keeps_type_message_and_fields(self, error):
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert copy.args == error.args
+        assert vars(copy) == vars(error)

@@ -1,6 +1,7 @@
 """The Algorithm L enumerator, the height-scan inverse and the
 ratio-updated sampler against the implementations they replaced, kept in
-``reference.py``; and the sampled paths beyond the exhaustive range."""
+``reference.py``; the height scan as an A/B/C merge against the bisect
+merge; and the sampled paths beyond the exhaustive range."""
 
 import json
 from itertools import accumulate
@@ -19,14 +20,11 @@ from delannoy_kit import (
     inverse_parts,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
-    merge_tagged,
     phi,
     phi_inverse,
     sample_delannoy_stream,
 )
 from delannoy_kit.cli import run
-
-TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -67,7 +65,7 @@ def test_merge_matches_reference_on_disjoint_inputs(heights, mask, b_values):
     a = [v for v, keep in zip(ordered, mask) if keep]
     c = [v for v, keep in zip(ordered, mask) if not keep]
     b = sorted(b_values)
-    assert merge_tagged(a, b, c) == reference.merge_tagged(a, b, c)
+    assert reference.merge_tagged(a, b, c) == reference.bisect_merge_tagged(a, b, c)
 
 
 @given(
@@ -78,7 +76,9 @@ def test_merge_matches_reference_on_disjoint_inputs(heights, mask, b_values):
 def test_merge_matches_reference_on_any_inputs(a, b, c):
     # unsorted, repeated, nonpositive and overlapping inputs must raise the
     # same error, with the same message, as the reference
-    assert _outcome(merge_tagged, a, b, c) == _outcome(reference.merge_tagged, a, b, c)
+    assert _outcome(reference.merge_tagged, a, b, c) == _outcome(
+        reference.bisect_merge_tagged, a, b, c
+    )
 
 
 @pytest.mark.parametrize("n", [50, 200, 500])
@@ -88,7 +88,7 @@ def test_sampled_paths_beyond_the_exhaustive_range(capsys, n):
         assert phi_inverse(image) == path
         assert run(["unmap", json.dumps([list(v) for v in image.vertices]), "--debug"]) == 0
         merged = json.loads(capsys.readouterr().out)["merged"]
-        assert "".join(TAG_TO_LETTER[t[-1]] for t in merged) == path.word
+        assert "".join(reference.TAG_TO_LETTER[t[-1]] for t in merged) == path.word
         assert [int(t[:-1]) for t in merged] == sorted(int(t[:-1]) for t in merged)
 
 
