@@ -449,6 +449,17 @@ class TestRankedImageCheck:
                 recorded += len(image_sets)
         assert recorded >= 10
 
+    def test_every_rank_hit_twice_fails_the_image_check(self, monkeypatch):
+        # each word twice: no rank unhit and no image outside the slice, yet
+        # the images are not the slice once each
+        monkeypatch.setattr(
+            harness,
+            "enumerate_delannoy_by_e",
+            lambda n, k: list(enumerate_delannoy_by_e(n, k)) * 2,
+        )
+        _, failures, _ = harness._roundtrip_unit((2, 1))
+        assert failures.records == [_image_set(2, 1, [], [])]
+
     @pytest.mark.parametrize(
         "corrupt, enumerated",
         [
