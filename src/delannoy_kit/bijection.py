@@ -28,7 +28,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .lattice_core import DelannoyPath, KimberlingPath, NotCentral, _image_order
+from .lattice_core import (
+    DelannoyPath,
+    KimberlingPath,
+    NotCentral,
+    _image_order,
+    _unchecked_vertices,
+    _unchecked_word,
+)
 
 LETTER_TO_TAG = {"N": "A", "E": "B", "D": "C"}
 
@@ -97,8 +104,8 @@ def phi(path: DelannoyPath) -> KimberlingPath:
     """
     a, b, c = _terminal_heights(path.word)
     n = len(a) + len(c)
-    vertices = ((0, 0),) + tuple(zip(a, b)) + ((n + 1, n),)
-    return KimberlingPath(vertices)
+    # N heights rise strictly from >= 1 to <= n, E heights weakly within 0..n
+    return _unchecked_vertices(((0, 0), *zip(a, b), (n + 1, n)))
 
 
 def _height_slots(n: int, a: Iterable[int], b: Iterable[int]) -> list[str]:
@@ -142,5 +149,6 @@ def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:
     """
     interior = kpath.interior
     xs, ys = map(itemgetter(0), interior), map(itemgetter(1), interior)
-    return DelannoyPath("".join(_height_slots(_image_order(kpath), xs, ys)))
+    # the height slots hold only the letters D, N and E
+    return _unchecked_word("".join(_height_slots(_image_order(kpath), xs, ys)))
 

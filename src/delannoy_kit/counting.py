@@ -38,7 +38,7 @@ from itertools import accumulate, combinations, combinations_with_replacement
 from operator import attrgetter
 from typing import Iterator
 
-from .lattice_core import DelannoyPath, KimberlingPath
+from .lattice_core import DelannoyPath, KimberlingPath, _unchecked_vertices, _unchecked_word
 
 
 def binomial(n: int, k: int) -> int:
@@ -159,7 +159,8 @@ def enumerate_delannoy_by_e(n: int, k: int) -> Iterator[DelannoyPath]:
     word = ["D"] * (n - k) + ["E"] * k + ["N"] * k
     last = len(word) - 1
     while True:
-        yield DelannoyPath("".join(word))
+        # Algorithm L only permutes the letters D, E and N
+        yield _unchecked_word("".join(word))
         j = last - 1
         while j >= 0 and word[j] >= word[j + 1]:
             j -= 1
@@ -188,7 +189,8 @@ def enumerate_kimberling_by_vertices(i: int, j: int, k: int) -> Iterator[Kimberl
     end = (i, j)
     for xs in combinations(range(1, i), k):
         for ys in combinations_with_replacement(range(j + 1), k):
-            yield KimberlingPath(((0, 0),) + tuple(zip(xs, ys)) + (end,))
+            # x rises strictly within 1..i-1 and y weakly within 0..j
+            yield _unchecked_vertices(((0, 0), *zip(xs, ys), end))
 
 
 def enumerate_kimberling(i: int, j: int) -> Iterator[KimberlingPath]:

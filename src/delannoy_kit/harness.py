@@ -17,8 +17,9 @@ deterministic either way, up to the elapsed field.
 
 The roundtrip check marks each image's lexicographic rank in its (n, k)
 slice in a bytearray, and the vertex enumerator must yield ranks 0, 1, 2,
-... in order.  Its ``image_set`` record lists the interior coordinates of
-the lowest unhit ranks and of the smallest images outside the slice.
+... in order.  An image whose table sum falls outside the slice has no
+rank.  The ``image_set`` record lists the interior coordinates of the
+lowest unhit ranks and of the smallest images outside the slice.
 """
 
 from __future__ import annotations
@@ -136,7 +137,10 @@ def _sweep(
     summarize: Summary | None = None,
 ) -> VerificationReport:
     """Run ``unit_fn`` on every (n, k) unit with 0 <= k <= n <= n_max, in
-    that order, and merge the results into one report."""
+    that order, and merge the results into one report.
+
+    Raises ``ValueError`` for a negative ``n_max`` and for a sweep whose
+    merged case total is 0, since either would check nothing."""
     start = time.perf_counter()
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}; that sweep would check nothing")
@@ -156,6 +160,8 @@ def _sweep(
     if summarize is not None:
         summary_cases, details = summarize(n_max, [r[2] for r in results], failures)
         cases += summary_cases
+    if cases == 0:
+        raise ValueError(f"the {check_name} check has no cases at n_max={n_max}")
     return VerificationReport(
         check_name=check_name,
         n_range=(0, n_max),
@@ -200,13 +206,15 @@ class _SliceRank:
         self._tables = [{(0, 0): self.size - 1}, *terms, {(n + 1, n): 0}]
 
     def rank(self, kpath) -> int | None:
-        """The path's rank; None unless it has one vertex per table, each a key of it."""
+        """The path's rank; None unless it has one vertex per table, each a key of
+        it, and the sum lies in range(size), as it may not for a non-monotone path."""
         if len(kpath.vertices) != len(self._tables):
             return None
         try:
-            return sum(map(dict.__getitem__, self._tables, kpath.vertices))
+            rank = sum(map(dict.__getitem__, self._tables, kpath.vertices))
         except KeyError:
             return None
+        return rank if 0 <= rank < self.size else None
 
     def key(self, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The interior (x-coordinates, y-coordinates) of the path with this rank."""
@@ -449,7 +457,8 @@ def verify_per_step(n_max: int, workers: int | None = None) -> VerificationRepor
     For each index the sweep checks that the two diagonal comparisons agree
     and that the interior vertex never lands exactly on the image diagonal.
     One case per East index, plus one coverage case per n >= 2 confirming
-    that all three orderings of the preceding-D counts occur.
+    that all three orderings of the preceding-D counts occur.  Order 0 has
+    neither, so ``n_max = 0`` raises ``ValueError``.
     """
     return _sweep("per-step", _per_step_unit, n_max, workers, _case_coverage)
 

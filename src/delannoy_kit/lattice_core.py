@@ -14,6 +14,14 @@ Two kinds of objects live here:
   sequences are.
 
 Both types are immutable values; every operation in this module is pure.
+
+The public constructors validate everything they are given, and so do
+``parse_step_word`` and ``make_kimberling``, so every value built from
+outside the package is checked.  The enumerators, ``phi`` and
+``phi_inverse`` build values that are valid by construction through
+``_unchecked_word`` and ``_unchecked_vertices``, without re-running that
+check; each call site states the invariant it relies on.  Checked and
+unchecked values compare, hash and pickle alike.
 """
 
 from __future__ import annotations
@@ -168,6 +176,20 @@ class KimberlingPath:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+def _unchecked_word(word: str) -> DelannoyPath:
+    """A ``DelannoyPath`` of ``word``, which the caller guarantees is over E/N/D."""
+    path = object.__new__(DelannoyPath)
+    object.__setattr__(path, "word", word)
+    return path
+
+
+def _unchecked_vertices(vertices: tuple[LatticePoint, ...]) -> KimberlingPath:
+    """A ``KimberlingPath`` of ``vertices``, which the caller guarantees is valid."""
+    path = object.__new__(KimberlingPath)
+    object.__setattr__(path, "vertices", vertices)
+    return path
 
 
 def parse_step_word(text: str) -> DelannoyPath:

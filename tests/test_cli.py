@@ -319,9 +319,13 @@ class TestVerify:
     def test_rejects_unknown_check(self, capsys):
         assert invoke(capsys, "verify", "--check", "bogus")[0] == 2
 
-    @pytest.mark.parametrize("check", ["all", "counts"])
-    def test_negative_n_max_checks_nothing_and_fails(self, capsys, check):
-        code, out, err = invoke(capsys, "verify", "--n-max", "-1", "--check", check)
+    @pytest.mark.parametrize(
+        "n_max, check",
+        [("-1", "all"), ("-1", "counts"), ("0", "all"), ("0", "per-step")],
+        ids=["all", "counts", "zero-all", "zero-per-step"],
+    )
+    def test_negative_n_max_checks_nothing_and_fails(self, capsys, n_max, check):
+        code, out, err = invoke(capsys, "verify", "--n-max", n_max, "--check", check)
         assert code == 2
         assert "PASS" not in out
         assert err.startswith("error: ") and "n_max" in err

@@ -25,6 +25,7 @@ from delannoy_kit import (
 from delannoy_kit import harness
 from delannoy_kit.geometry import CASE_LABELS
 from delannoy_kit.harness import FAILURE_CAP, resolve_workers, run_checks
+from delannoy_kit.lattice_core import _unchecked_vertices
 
 
 class TestVerifyRoundtrip:
@@ -434,6 +435,28 @@ class TestRankedImageCheck:
     )
     def test_paths_outside_the_slice_have_no_rank(self, vertices):
         assert harness._SliceRank(3, 2).rank(make_kimberling(vertices)) is None
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [((0, 0), (1, 0), (1, 0), (4, 3)), ((0, 0), (1, 0), (1, 2), (4, 3))],
+    )
+    def test_non_monotone_paths_with_negative_sums_have_no_rank(self, vertices):
+        # the table sums are -10 and -8, which index the bytearray from its end
+        assert harness._SliceRank(3, 2).rank(_unchecked_vertices(vertices)) is None
+
+    def test_non_monotone_image_is_reported_not_aliased(self, monkeypatch):
+        def repeating_phi(path):  # EENND's first interior vertex (1, 0), twice
+            image = UNPATCHED_PHI(path)
+            if path.word == "EENND":
+                first = image.vertices[1]
+                return _unchecked_vertices((image.vertices[0], first, first, image.vertices[3]))
+            return image
+
+        monkeypatch.setattr(harness, "phi", repeating_phi)
+        report = verify_roundtrip(4)
+        assert not report.passed
+        image_sets = [f for f in report.failures if f["kind"] == "image_set"]
+        assert image_sets == [_image_set(3, 2, [((1, 2), (0, 0))], [((1, 1), (0, 0))])]
 
     @pytest.mark.parametrize("corrupted_phi", [_collide_ne, _drop_after_n])
     def test_image_set_records_match_key_set_differences(self, monkeypatch, corrupted_phi):

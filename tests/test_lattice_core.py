@@ -11,14 +11,19 @@ from delannoy_kit import (
     DecreasingY,
     DelannoyPath,
     InvalidCharacter,
+    KimberlingPath,
     LatticeError,
     NonIncreasingX,
     NotCentral,
     central_index,
+    enumerate_delannoy_by_e,
     enumerate_kimberling,
+    enumerate_kimberling_by_vertices,
     make_kimberling,
     parse_step_word,
     path_vertices,
+    phi,
+    phi_inverse,
 )
 
 WORKED_WORD = "NEEDNNNEDDEEN"
@@ -247,3 +252,45 @@ class TestErrorPickling:
         assert str(copy) == str(error)
         assert copy.args == error.args
         assert vars(copy) == vars(error)
+
+
+def _assert_validates(path):
+    """``path`` equals, hashes and pickles like its twin from the public constructor."""
+    if isinstance(path, DelannoyPath):
+        twin = DelannoyPath(path.word)
+    else:
+        twin = KimberlingPath(path.vertices)
+    assert path == twin
+    assert hash(path) == hash(twin)
+    assert pickle.loads(pickle.dumps(path)) == twin
+
+
+class TestUncheckedProducers:
+    """The enumerators, phi and phi_inverse skip validation; their values must pass it."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_value_of_the_sweep_families_validates(self, n):
+        for k in range(n + 1):
+            for path in enumerate_delannoy_by_e(n, k):
+                _assert_validates(path)
+                _assert_validates(phi(path))
+            for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
+                _assert_validates(kpath)
+                _assert_validates(phi_inverse(kpath))
+
+    @pytest.mark.parametrize("i", range(7))
+    def test_every_enumerated_vertex_path_validates(self, i):
+        for j in range(7):
+            for kpath in enumerate_kimberling(i, j):
+                _assert_validates(kpath)
+
+    @given(st.data())
+    def test_phi_and_phi_inverse_validate_at_large_orders(self, data):
+        n = data.draw(st.integers(0, 300), label="n")
+        k = data.draw(st.integers(0, n), label="k")
+        letters = data.draw(st.permutations("E" * k + "N" * k + "D" * (n - k)))
+        image = phi(DelannoyPath("".join(letters)))
+        _assert_validates(image)
+        back = phi_inverse(image)
+        _assert_validates(back)
+        assert back.word == "".join(letters)
