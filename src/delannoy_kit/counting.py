@@ -187,6 +187,11 @@ def enumerate_kimberling_by_vertices(i: int, j: int, k: int) -> Iterator[Kimberl
     if not 0 <= k <= i - 1:
         return
     end = (i, j)
+    if j < 0:
+        # only the direct step (k == 0) is a candidate; the checked constructor rejects it
+        if k == 0:
+            yield KimberlingPath(((0, 0), end))
+        return
     for xs in combinations(range(1, i), k):
         for ys in combinations_with_replacement(range(j + 1), k):
             # x rises strictly within 1..i-1 and y weakly within 0..j

@@ -240,6 +240,13 @@ class TestEnumerate:
         assert out.split() == ["D" * 1500]
         assert err == ""
 
+    def test_kimberling_k_slice_to_a_negative_height_fails(self, capsys):
+        code, out, err = invoke(
+            capsys, "enumerate", "kimberling", "--i", "3", "--j", "-1", "--k-only", "0"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: y-coordinate decreases at vertex 1\n"
+
     def test_requires_family_endpoints(self, capsys):
         assert invoke(capsys, "enumerate", "delannoy")[0] == 2
         assert invoke(capsys, "enumerate", "kimberling", "--i", "2")[0] == 2

@@ -431,18 +431,13 @@ class TestRankedImageCheck:
             [(0, 0), (1, 0), (2, 1), (4, 4)],  # endpoint of another order
             [(0, 0), (1, 0), (2, 1)],  # a shorter path to another endpoint
             [(0, 0)],
+            # non-monotone, with table sums -10 and -8 that would index from the end
+            [(0, 0), (1, 0), (1, 0), (4, 3)],
+            [(0, 0), (1, 0), (1, 2), (4, 3)],
         ],
     )
     def test_paths_outside_the_slice_have_no_rank(self, vertices):
-        assert harness._SliceRank(3, 2).rank(make_kimberling(vertices)) is None
-
-    @pytest.mark.parametrize(
-        "vertices",
-        [((0, 0), (1, 0), (1, 0), (4, 3)), ((0, 0), (1, 0), (1, 2), (4, 3))],
-    )
-    def test_non_monotone_paths_with_negative_sums_have_no_rank(self, vertices):
-        # the table sums are -10 and -8, which index the bytearray from its end
-        assert harness._SliceRank(3, 2).rank(_unchecked_vertices(vertices)) is None
+        assert harness._SliceRank(3, 2).rank(_unchecked_vertices(tuple(vertices))) is None
 
     def test_non_monotone_image_is_reported_not_aliased(self, monkeypatch):
         def repeating_phi(path):  # EENND's first interior vertex (1, 0), twice

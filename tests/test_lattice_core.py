@@ -275,14 +275,19 @@ class TestUncheckedProducers:
                 _assert_validates(path)
                 _assert_validates(phi(path))
             for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
-                _assert_validates(kpath)
                 _assert_validates(phi_inverse(kpath))
 
     @pytest.mark.parametrize("i", range(7))
     def test_every_enumerated_vertex_path_validates(self, i):
-        for j in range(7):
-            for kpath in enumerate_kimberling(i, j):
-                _assert_validates(kpath)
+        for j in range(-2, 7):
+            for k in range(-1, i + 1):
+                paths = enumerate_kimberling_by_vertices(i, j, k)
+                if i > 0 and j < 0 and k == 0:  # the direct step down to (i, j)
+                    with pytest.raises(DecreasingY):
+                        list(paths)
+                    continue
+                for kpath in paths:
+                    _assert_validates(kpath)
 
     @given(st.data())
     def test_phi_and_phi_inverse_validate_at_large_orders(self, data):
