@@ -25,6 +25,7 @@ of equal B values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -38,6 +39,7 @@ from .lattice_core import (
 )
 
 LETTER_TO_TAG = {"N": "A", "E": "B", "D": "C"}
+_LETTERS_TO_TAGS = str.maketrans(LETTER_TO_TAG)
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,10 @@ def inverse_parts(
     b = [y for _, y in kpath.interior]
     slots = _height_slots(_image_order(kpath), a, b)
     c = [h for h, slot in enumerate(slots) if slot[:1] == "D"]
-    merged = [TaggedValue(h, LETTER_TO_TAG[ch]) for h, slot in enumerate(slots) for ch in slot]
+    # the slots spell the merge's tags in the order of its values, A, B and C
+    # sorted; tuple.__new__ builds each TaggedValue without a Python-level call
+    tags = "".join(slots).translate(_LETTERS_TO_TAGS)
+    merged = list(map(tuple.__new__, repeat(TaggedValue), zip(sorted(a + b + c), tags)))
     return a, b, c, merged
 
 

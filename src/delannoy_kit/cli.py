@@ -14,6 +14,8 @@ import json
 import os
 import re
 import sys
+from itertools import starmap
+from operator import attrgetter
 from typing import Sequence
 
 from .bijection import inverse_parts, phi, phi_inverse, step_labels
@@ -50,6 +52,23 @@ from .render import RenderSpec, render_pair
 
 _COMPACT_PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
+# ``classify`` prints ``json.dumps(payload, indent=2)`` of a fixed shape;
+# these templates write those bytes without the stdlib's pure-Python indenting
+# encoder.  The word holds only E/N/D and the case labels are identifiers, so
+# nothing needs escaping.
+_JSON_BOOL = ("false", "true")
+_CLASSIFY = (
+    '{\n  "word": "%s",\n  "n": %d,\n  "k": %d,\n  "subdiagonal_delannoy": %s,\n'
+    '  "subdiagonal_kimberling": %s,\n  "image_vertices": [%s\n  ],\n  "east_steps": %s\n}'
+)
+_CLASSIFY_VERTEX = "\n    [\n      %d,\n      %d\n    ]"
+_CLASSIFY_STEP = (
+    '\n    {\n      "index": %d,\n      "east_end": [\n        %d,\n        %d\n      ],\n'
+    '      "east_weakly_above": %s,\n      "interior_vertex": [\n        %d,\n        %d\n'
+    '      ],\n      "vertex_strictly_above": %s,\n      "d_before_north": %d,\n'
+    '      "d_before_east": %d,\n      "case": "%s"\n    }'
+)
+
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
@@ -71,6 +90,8 @@ def parse_vertex_text(text: str) -> KimberlingPath:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise LatticeError(f"bad vertex JSON: {exc}") from None
+        except RecursionError:
+            raise LatticeError("bad vertex JSON: nested too deeply") from None
         if not isinstance(data, list):
             raise LatticeError("vertex JSON must be an array of [x, y] pairs")
         return make_kimberling(data)
@@ -121,7 +142,7 @@ def _cmd_unmap(args: argparse.Namespace) -> int:
             "A": a,
             "B": b,
             "C": c,
-            "merged": [str(t) for t in merged],
+            "merged": [f"{v}{t}" for v, t in merged],
         }
         print(_dump(payload))
     else:
@@ -190,33 +211,30 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     image = phi(path)
     flags = diagonal_flags(path)
     pairs = preceding_d_counts(path)
-    ends = east_ends(path)
-    interior = image.interior
-    steps = []
-    for i in range(k):
-        before_north, before_east = pairs[i]
-        steps.append(
-            {
-                "index": i + 1,
-                "east_end": list(ends[i].point),
-                "east_weakly_above": flags.east_weakly_above[i],
-                "interior_vertex": list(interior[i]),
-                "vertex_strictly_above": flags.vertex_strictly_above[i],
-                "d_before_north": before_north,
-                "d_before_east": before_east,
-                "case": classify_d_counts(before_north, before_east),
-            }
+    # one column per field of _CLASSIFY_STEP; zip(*pairs) splits pairs into columns
+    columns = (
+        range(1, k + 1),
+        *zip(*map(attrgetter("point"), east_ends(path))),
+        map(_JSON_BOOL.__getitem__, flags.east_weakly_above),
+        *zip(*image.interior),
+        map(_JSON_BOOL.__getitem__, flags.vertex_strictly_above),
+        *zip(*pairs),
+        starmap(classify_d_counts, pairs),
+    )
+    steps = ",".join(map(_CLASSIFY_STEP.__mod__, zip(*columns)))
+    vertices = ",".join(map(_CLASSIFY_VERTEX.__mod__, image.vertices))
+    print(
+        _CLASSIFY
+        % (
+            path.word,
+            n,
+            k,
+            _JSON_BOOL[is_subdiagonal_delannoy(path)],
+            _JSON_BOOL[is_subdiagonal_kimberling(image)],
+            vertices,
+            f"[{steps}\n  ]" if k else "[]",
         )
-    payload = {
-        "word": path.word,
-        "n": n,
-        "k": k,
-        "subdiagonal_delannoy": is_subdiagonal_delannoy(path),
-        "subdiagonal_kimberling": is_subdiagonal_kimberling(image),
-        "image_vertices": [list(v) for v in image.vertices],
-        "east_steps": steps,
-    }
-    print(json.dumps(payload, indent=2))
+    )
     return 0
 
 

@@ -231,18 +231,24 @@ def make_kimberling(vertices: Iterable[Iterable[int]]) -> KimberlingPath:
     """Validate and build a ``KimberlingPath`` from any iterable of point pairs.
 
     Accepts lists, tuples, or any 2-element integer iterables (e.g. the
-    result of parsing a JSON vertex array) and normalizes them.
+    result of parsing a JSON vertex array) and normalizes them.  Any other
+    entry, a scalar included, raises ``LatticeError``.
     """
     normalized: list[LatticePoint] = []
     for entry in vertices:
-        point = tuple(entry)
+        try:
+            x, y = entry
+        except (TypeError, ValueError):
+            raise LatticeError(f"vertex {entry!r} is not a pair of integers") from None
         # bool is an int subclass, but JSON's true/false are not coordinates
-        if len(point) != 2 or not all(
-            isinstance(c, int) and not isinstance(c, bool) for c in point
-        ):
+        if not ((type(x) is int and type(y) is int) or (_is_coordinate(x) and _is_coordinate(y))):
             raise LatticeError(f"vertex {entry!r} is not a pair of integers")
-        normalized.append(point)  # type: ignore[arg-type]
+        normalized.append((x, y))
     return KimberlingPath(tuple(normalized))
+
+
+def _is_coordinate(c: object) -> bool:
+    return isinstance(c, int) and not isinstance(c, bool)
 
 
 def _image_order(kpath: KimberlingPath) -> int:

@@ -1,15 +1,16 @@
 """Test-only references.
 
 Earlier implementations: the package's k-slice enumerator (Algorithm L),
-its inverse (a height scan) and its ratio-updated sampler replaced these;
-tests compare the two outputs exactly.  The segment-sampling subdiagonal
-checks, which corroborate that testing vertices alone loses nothing
-between them.  And the validated A/B/C merge API, which the package no
+its inverse (a height scan), its ratio-updated sampler and the templated
+``classify`` output replaced these; tests compare the two outputs exactly.
+The segment-sampling subdiagonal checks, which corroborate that testing
+vertices alone loses nothing between them.  And the validated A/B/C merge API, which the package no
 longer calls: ``merge_tagged`` runs the package's height scan on arbitrary
 inputs, ``bisect_merge_tagged`` is the interleave-and-insert merge it
 replaced.
 """
 
+import json
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -22,8 +23,16 @@ from delannoy_kit import (
     LatticeError,
     TaggedValue,
     central_index,
+    classify_d_counts,
     count_delannoy_by_e,
+    diagonal_flags,
+    east_ends,
+    is_subdiagonal_delannoy,
+    is_subdiagonal_kimberling,
+    parse_step_word,
     path_vertices,
+    phi,
+    preceding_d_counts,
 )
 from delannoy_kit.bijection import LETTER_TO_TAG, _height_slots
 
@@ -231,3 +240,40 @@ def sample_delannoy_stream(n, count, seed):
     bounds = list(accumulate(count_delannoy_by_e(n, k) for k in range(n + 1)))
     for _ in range(count):
         yield _sample_with_rng(n, rng, bounds)
+
+
+def classify_json(text):
+    """``classify``'s stdout, less the newline, built as a payload and encoded
+    by ``json.dumps(payload, indent=2)``."""
+    path = parse_step_word(text)
+    n, k = central_index(path)
+    image = phi(path)
+    flags = diagonal_flags(path)
+    pairs = preceding_d_counts(path)
+    ends = east_ends(path)
+    interior = image.interior
+    steps = []
+    for i in range(k):
+        before_north, before_east = pairs[i]
+        steps.append(
+            {
+                "index": i + 1,
+                "east_end": list(ends[i].point),
+                "east_weakly_above": flags.east_weakly_above[i],
+                "interior_vertex": list(interior[i]),
+                "vertex_strictly_above": flags.vertex_strictly_above[i],
+                "d_before_north": before_north,
+                "d_before_east": before_east,
+                "case": classify_d_counts(before_north, before_east),
+            }
+        )
+    payload = {
+        "word": path.word,
+        "n": n,
+        "k": k,
+        "subdiagonal_delannoy": is_subdiagonal_delannoy(path),
+        "subdiagonal_kimberling": is_subdiagonal_kimberling(image),
+        "image_vertices": [list(v) for v in image.vertices],
+        "east_steps": steps,
+    }
+    return json.dumps(payload, indent=2)

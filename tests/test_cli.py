@@ -31,6 +31,24 @@ WORKED_DEBUG = (
 )
 # ... and its SHA-256 on the image of sample_delannoy(512, 2024)
 UNMAP_DEBUG_512_SHA256 = "6cb38fbfd348a95a0af5790370eda7c7e189f2c3c6c4877bad28d3a730a2da16"
+# stdout of ``classify`` from ``json.dumps(payload, indent=2)``, byte for byte
+CLASSIFY_EDN = (
+    '{\n  "word": "EDN",\n  "n": 2,\n  "k": 1,\n  "subdiagonal_delannoy": true,\n'
+    '  "subdiagonal_kimberling": true,\n  "image_vertices": [\n    [\n      0,\n      0\n'
+    '    ],\n    [\n      2,\n      0\n    ],\n    [\n      3,\n      2\n    ]\n  ],\n'
+    '  "east_steps": [\n    {\n      "index": 1,\n      "east_end": [\n        1,\n'
+    '        0\n      ],\n      "east_weakly_above": false,\n      "interior_vertex": [\n'
+    '        2,\n        0\n      ],\n      "vertex_strictly_above": false,\n'
+    '      "d_before_north": 1,\n      "d_before_east": 0,\n      "case": "more_before_north"\n'
+    '    }\n  ]\n}\n'
+)
+CLASSIFY_EMPTY = (
+    '{\n  "word": "",\n  "n": 0,\n  "k": 0,\n  "subdiagonal_delannoy": true,\n'
+    '  "subdiagonal_kimberling": true,\n  "image_vertices": [\n    [\n      0,\n      0\n'
+    '    ],\n    [\n      1,\n      0\n    ]\n  ],\n  "east_steps": []\n}\n'
+)
+# ... and its SHA-256 on the word sample_delannoy(512, 2024)
+CLASSIFY_512_SHA256 = "ea32dbd3d3b14adfbfa3dfefd2c829282c27ba5360c0ed457f124bfc110dc2a3"
 
 
 def invoke(capsys, *argv):
@@ -122,9 +140,12 @@ class TestMapUnmap:
         assert code == 2
         assert "(2, 2)" in err
 
-    def test_unmap_rejects_malformed_json(self, capsys):
-        code, _, _ = invoke(capsys, "unmap", "[[0,0],[1,")
-        assert code == 2
+    @pytest.mark.parametrize("text", ["[[0,0],[1,", "[" * 50_000], ids=["truncated", "deep"])
+    def test_unmap_rejects_malformed_json(self, capsys, text):
+        code, out, err = invoke(capsys, "unmap", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad vertex JSON") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unmap_rejects_bool_coordinates(self, capsys):
         code, out, err = invoke(capsys, "unmap", "[[0,0],[1,false],[2,true]]", "--debug")
@@ -292,6 +313,19 @@ class TestClassify:
         assert step["interior_vertex"] == [2, 0]
         assert (step["d_before_north"], step["d_before_east"]) == (1, 0)
         assert step["case"] == "more_before_north"
+
+    @pytest.mark.parametrize(
+        "word, expected",
+        [("EDN", CLASSIFY_EDN), ("edn", CLASSIFY_EDN), ("", CLASSIFY_EMPTY)],
+        ids=["EDN", "lowercase", "empty"],
+    )
+    def test_bytes_pinned(self, capsys, word, expected):
+        assert invoke(capsys, "classify", "--word", word) == (0, expected, "")
+
+    def test_bytes_pinned_at_order_512(self, capsys):
+        code, out, err = invoke(capsys, "classify", "--word", sample_delannoy(512, 2024).word)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_512_SHA256
 
     def test_requires_central(self, capsys):
         assert invoke(capsys, "classify", "--word", "NEN")[0] == 2
@@ -494,7 +528,7 @@ SMALL = st.integers(-3, 6)
 WORD = st.text(alphabet="ENDenx ", max_size=14)
 COORD = st.one_of(st.integers(-2, 12), st.booleans(), st.sampled_from([1.5, "1", None]))
 VERTEX_TEXT = st.one_of(
-    st.lists(st.lists(COORD, max_size=3), max_size=7).map(json.dumps),
+    st.lists(st.one_of(st.lists(COORD, max_size=3), COORD), max_size=7).map(json.dumps),
     st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=7).map(
         lambda tail: json.dumps([[0, 0]] + sorted(tail))
     ),

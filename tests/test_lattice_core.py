@@ -162,6 +162,13 @@ class TestMakeKimberling:
         path = make_kimberling([[0, 0], [1, 1], [3, 1]])
         assert path.vertices == ((0, 0), (1, 1), (3, 1))
 
+    def test_accepts_iterators_and_int_subclasses(self):
+        class Coordinate(int):  # any int subclass but bool is a coordinate
+            pass
+
+        path = make_kimberling([[0, 0], iter([1, 1]), (Coordinate(3), 1)])
+        assert path.vertices == ((0, 0), (1, 1), (3, 1))
+
     def test_rejects_non_integer_coordinates(self):
         with pytest.raises(LatticeError):
             make_kimberling([(0, 0), (1.5, 1)])

@@ -1,8 +1,11 @@
-"""The Algorithm L enumerator, the height-scan inverse and the
-ratio-updated sampler against the implementations they replaced, kept in
-``reference.py``; the height scan as an A/B/C merge against the bisect
-merge; and the sampled paths beyond the exhaustive range."""
+"""The Algorithm L enumerator, the height-scan inverse, the
+ratio-updated sampler and the templated ``classify`` output against the
+implementations they replaced, kept in ``reference.py``; the height scan as
+an A/B/C merge against the bisect merge; and the sampled paths beyond the
+exhaustive range."""
 
+import contextlib
+import io
 import json
 from itertools import accumulate
 
@@ -13,6 +16,7 @@ import reference
 from delannoy_kit import (
     DelannoyPath,
     LatticeError,
+    TaggedValue,
     diagonal_flags,
     enumerate_delannoy,
     enumerate_delannoy_by_e,
@@ -45,7 +49,11 @@ def test_full_order_is_the_sorted_reference_slices(n):
 def test_inverse_matches_merge_reference_on_every_vertex_path(n):
     for kpath in enumerate_kimberling(n + 1, n):
         assert phi_inverse(kpath) == reference.phi_inverse(kpath)
-        assert inverse_parts(kpath) == reference.inverse_parts(kpath)
+        parts = inverse_parts(kpath)
+        expected = reference.inverse_parts(kpath)
+        assert parts == expected
+        assert all(type(t) is TaggedValue for t in parts[3])
+        assert list(map(str, parts[3])) == list(map(str, expected[3]))
 
 
 def _outcome(merge, a, b, c):
@@ -90,6 +98,19 @@ def test_sampled_paths_beyond_the_exhaustive_range(capsys, n):
         merged = json.loads(capsys.readouterr().out)["merged"]
         assert "".join(reference.TAG_TO_LETTER[t[-1]] for t in merged) == path.word
         assert [int(t[:-1]) for t in merged] == sorted(int(t[:-1]) for t in merged)
+
+
+@given(st.data())
+def test_classify_matches_json_dumps_reference(data):
+    n = data.draw(st.integers(0, 40), label="n")
+    k = data.draw(st.integers(0, n), label="k")
+    letters = data.draw(st.permutations("E" * k + "N" * k + "D" * (n - k)))
+    lower = data.draw(st.lists(st.booleans(), min_size=len(letters), max_size=len(letters)))
+    word = "".join(ch.lower() if low else ch for ch, low in zip(letters, lower))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert run(["classify", "--word", word]) == 0
+    assert (out.getvalue(), err.getvalue()) == (reference.classify_json(word) + "\n", "")
 
 
 @given(n=st.integers(0, 80), count=st.integers(0, 5), seed=st.integers())
