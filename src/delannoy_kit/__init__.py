@@ -23,7 +23,6 @@ from .lattice_core import (
     path_vertices,
 )
 from .bijection import (
-    StepLabels,
     TaggedValue,
     inverse_parts,
     phi,
@@ -45,15 +44,13 @@ from .counting import (
     schroder,
 )
 from .geometry import (
-    DiagonalFlags,
-    EastEnd,
     below_endpoint_chord,
     classify_d_counts,
     diagonal_flags,
-    east_ends,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
     preceding_d_counts,
+    walk_east_steps,
 )
 from .harness import (
     VerificationReport,
@@ -73,8 +70,6 @@ __all__ = [
     "CentralIndex",
     "DecreasingY",
     "DelannoyPath",
-    "DiagonalFlags",
-    "EastEnd",
     "InvalidCharacter",
     "KimberlingPath",
     "LatticeError",
@@ -82,7 +77,6 @@ __all__ = [
     "NonIncreasingX",
     "NotCentral",
     "RenderSpec",
-    "StepLabels",
     "TaggedValue",
     "VerificationReport",
     "below_endpoint_chord",
@@ -94,7 +88,6 @@ __all__ = [
     "count_kimberling",
     "count_kimberling_by_vertices",
     "diagonal_flags",
-    "east_ends",
     "enumerate_delannoy",
     "enumerate_delannoy_by_e",
     "enumerate_kimberling",
@@ -118,4 +111,5 @@ __all__ = [
     "verify_per_step",
     "verify_roundtrip",
     "verify_subdiagonal",
+    "walk_east_steps",
 ]

@@ -5,7 +5,8 @@ the y-coordinate of the step's terminal vertex.  The labels of the N steps
 (in step order) are strictly increasing; the labels of the E steps are
 weakly increasing.  Pairing the i-th N label with the i-th E label gives
 the i-th interior vertex of the image path, which runs from (0, 0) to
-(n+1, n).
+(n+1, n).  ``step_labels`` is that one walk of the word: it returns the
+(north, east, diagonal) label lists, and ``phi`` pairs the first two.
 
 Inverse direction: from a path ending at (n+1, n), read off
 
@@ -24,7 +25,6 @@ of equal B values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -42,20 +42,6 @@ LETTER_TO_TAG = {"N": "A", "E": "B", "D": "C"}
 _LETTERS_TO_TAGS = str.maketrans(LETTER_TO_TAG)
 
 
-@dataclass(frozen=True)
-class StepLabels:
-    """Terminal-y labels of a central path's steps, grouped by letter.
-
-    ``a_labels`` (N steps) are strictly increasing, ``b_labels`` (E steps)
-    weakly increasing, ``c_labels`` (D steps) strictly increasing; A and C
-    are disjoint and together cover every height level 1..n.
-    """
-
-    a_labels: tuple[int, ...]
-    b_labels: tuple[int, ...]
-    c_labels: tuple[int, ...]
-
-
 class TaggedValue(NamedTuple):
     """An integer carrying its source tag A, B, or C."""
 
@@ -66,35 +52,32 @@ class TaggedValue(NamedTuple):
         return f"{self.value}{self.tag}"
 
 
-def _terminal_heights(word: str) -> tuple[list[int], list[int], list[int]]:
-    """Terminal heights of the N, E and D steps; ``NotCentral`` unless #E == #N."""
+def step_labels(path: DelannoyPath) -> tuple[list[int], list[int], list[int]]:
+    """Label each step with its terminal y-coordinate: the (north, east,
+    diagonal) label lists, each in step order.
+
+    North labels rise strictly, east labels weakly, diagonal labels
+    strictly; north and diagonal labels together cover the heights 1..n
+    once each.  Only the north and east labels feed the forward map; the
+    inverse reads the diagonal ones back as the complement set C.  Raises
+    ``NotCentral`` unless #E == #N.
+    """
     y = 0
-    a: list[int] = []
-    b: list[int] = []
-    c: list[int] = []
-    for ch in word:
+    north: list[int] = []
+    east: list[int] = []
+    diagonal: list[int] = []
+    for ch in path.word:
         if ch == "E":
-            b.append(y)
+            east.append(y)
         elif ch == "N":
             y += 1
-            a.append(y)
+            north.append(y)
         else:
             y += 1
-            c.append(y)
-    if len(a) != len(b):
-        raise NotCentral(len(b), len(a))
-    return a, b, c
-
-
-def step_labels(path: DelannoyPath) -> StepLabels:
-    """Label each step with its terminal y-coordinate, grouped by step letter.
-
-    Only E and N labels feed the forward map; D labels are computed too
-    because the inverse reads them back as the complement set C.  Raises
-    ``NotCentral`` for non-central paths.
-    """
-    a, b, c = _terminal_heights(path.word)
-    return StepLabels(tuple(a), tuple(b), tuple(c))
+            diagonal.append(y)
+    if len(north) != len(east):
+        raise NotCentral(len(east), len(north))
+    return north, east, diagonal
 
 
 def phi(path: DelannoyPath) -> KimberlingPath:
@@ -104,10 +87,10 @@ def phi(path: DelannoyPath) -> KimberlingPath:
     has exactly k interior vertices, one per East step.  Raises
     ``NotCentral`` for non-central paths.
     """
-    a, b, c = _terminal_heights(path.word)
-    n = len(a) + len(c)
+    north, east, diagonal = step_labels(path)
+    n = len(north) + len(diagonal)
     # N heights rise strictly from >= 1 to <= n, E heights weakly within 0..n
-    return _unchecked_vertices(((0, 0), *zip(a, b), (n + 1, n)))
+    return _unchecked_vertices(((0, 0), *zip(north, east), (n + 1, n)))
 
 
 def _height_slots(n: int, a: Iterable[int], b: Iterable[int]) -> list[str]:

@@ -14,8 +14,6 @@ import json
 import os
 import re
 import sys
-from itertools import starmap
-from operator import attrgetter
 from typing import Sequence
 
 from .bijection import inverse_parts, phi, phi_inverse, step_labels
@@ -34,11 +32,10 @@ from .counting import (
 from .geometry import (
     below_endpoint_chord,
     classify_d_counts,
-    diagonal_flags,
-    east_ends,
+    diagonal_comparisons,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
-    preceding_d_counts,
+    walk_east_steps,
 )
 from .harness import CHECKS, DEFAULT_N_MAX, run_checks
 from .lattice_core import (
@@ -109,16 +106,12 @@ def _cmd_map(args: argparse.Namespace) -> int:
     n, k = central_index(path)
     image = phi(path)
     if args.debug:
-        labels = step_labels(path)
+        north, east, diagonal = step_labels(path)
         payload = {
             "vertices": [list(v) for v in image.vertices],
             "n": n,
             "k": k,
-            "labels": {
-                "north": list(labels.a_labels),
-                "east": list(labels.b_labels),
-                "diagonal": list(labels.c_labels),
-            },
+            "labels": {"north": north, "east": east, "diagonal": diagonal},
         }
         print(_dump(payload))
     elif args.compact:
@@ -209,17 +202,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     path = parse_step_word(args.word)
     n, k = central_index(path)
     image = phi(path)
-    flags = diagonal_flags(path)
-    pairs = preceding_d_counts(path)
-    # one column per field of _CLASSIFY_STEP; zip(*pairs) splits pairs into columns
+    ends, before_north, before_east = walk_east_steps(path.word)
+    east_flags, vertex_flags = diagonal_comparisons(n, ends, image.interior)
+    # one column per field of _CLASSIFY_STEP; zip(*ends) splits points into columns
     columns = (
         range(1, k + 1),
-        *zip(*map(attrgetter("point"), east_ends(path))),
-        map(_JSON_BOOL.__getitem__, flags.east_weakly_above),
+        *zip(*ends),
+        map(_JSON_BOOL.__getitem__, east_flags),
         *zip(*image.interior),
-        map(_JSON_BOOL.__getitem__, flags.vertex_strictly_above),
-        *zip(*pairs),
-        starmap(classify_d_counts, pairs),
+        map(_JSON_BOOL.__getitem__, vertex_flags),
+        before_north,
+        before_east,
+        map(classify_d_counts, before_north, before_east),
     )
     steps = ",".join(map(_CLASSIFY_STEP.__mod__, zip(*columns)))
     vertices = ",".join(map(_CLASSIFY_VERTEX.__mod__, image.vertices))

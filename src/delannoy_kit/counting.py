@@ -201,11 +201,7 @@ def enumerate_kimberling_by_vertices(i: int, j: int, k: int) -> Iterator[Kimberl
 def enumerate_kimberling(i: int, j: int) -> Iterator[KimberlingPath]:
     """Yield every path to (i, j) once: k ascending, then x-set, then y-multiset."""
     _require_endpoint(i, j, "enumerate_kimberling")
-    if i == 0:
-        if j == 0:
-            yield KimberlingPath(((0, 0),))
-        return
-    for k in range(i):
+    for k in range(max(i, 1)):
         yield from enumerate_kimberling_by_vertices(i, j, k)
 
 

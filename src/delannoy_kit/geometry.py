@@ -9,12 +9,17 @@ divisibility statement and is tested exactly.
 
 Checking vertices alone suffices: every step segment whose endpoints lie
 weakly below a line through the origin stays weakly below it.
+
+The per-step lemma reads one walk of the word, ``walk_east_steps``: the
+terminal vertex of each East step, and the D steps before each N and each
+E step.  ``diagonal_comparisons`` sets the i-th East end against y = x and
+the i-th interior vertex of the image against its chord; ``diagonal_flags``
+and the ``classify`` command both call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Sequence
 
 from .lattice_core import (
     DelannoyPath,
@@ -29,27 +34,6 @@ CASE_EQUAL = "equal"
 CASE_MORE_BEFORE_EAST = "more_before_east"
 CASE_MORE_BEFORE_NORTH = "more_before_north"
 CASE_LABELS = (CASE_EQUAL, CASE_MORE_BEFORE_EAST, CASE_MORE_BEFORE_NORTH)
-
-
-class EastEnd(NamedTuple):
-    """Terminal vertex of the i-th East step (index is 1-based)."""
-
-    index: int
-    point: LatticePoint
-
-
-@dataclass(frozen=True)
-class DiagonalFlags:
-    """Per-East-index diagonal comparisons for a central path and its image.
-
-    ``east_weakly_above[i]``: the i-th East step's terminal vertex (X, Y)
-    satisfies Y >= X.  ``vertex_strictly_above[i]``: the i-th interior
-    vertex (x, y) of the image satisfies y * (n+1) > x * n.  Both tuples
-    have one entry per East step.
-    """
-
-    east_weakly_above: tuple[bool, ...]
-    vertex_strictly_above: tuple[bool, ...]
 
 
 def is_subdiagonal_delannoy(path: DelannoyPath) -> bool:
@@ -92,7 +76,10 @@ def below_endpoint_chord(kpath: KimberlingPath) -> bool:
 
 def walk_east_steps(word: str) -> tuple[list[LatticePoint], list[int], list[int]]:
     """One pass over a step word: the terminal vertex of each East step, and
-    how many D steps precede each N step and each E step."""
+    how many D steps precede each N step and each E step.
+
+    Takes the word string and checks nothing; for a central word the three
+    lists have one entry per East index."""
     x = y = d = 0
     ends: list[LatticePoint] = []
     before_north: list[int] = []
@@ -112,21 +99,26 @@ def walk_east_steps(word: str) -> tuple[list[LatticePoint], list[int], list[int]
     return ends, before_north, before_east
 
 
-def east_ends(path: DelannoyPath) -> list[EastEnd]:
-    """Terminal vertices of the East steps of a central path, in step order."""
-    central_index(path)
-    ends, _, _ = walk_east_steps(path.word)
-    return [EastEnd(index, point) for index, point in enumerate(ends, start=1)]
+def diagonal_comparisons(
+    n: int, ends: Sequence[LatticePoint], interior: Sequence[LatticePoint]
+) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """Both diagonal comparisons, one entry per East index.
+
+    ``east_weakly_above[i]``: the i-th East step's terminal vertex (X, Y),
+    from ``walk_east_steps``, satisfies Y >= X.  ``vertex_strictly_above[i]``:
+    the i-th interior vertex (x, y) of the image satisfies y * (n+1) > x * n.
+    """
+    east_weakly_above = tuple(py >= px for px, py in ends)
+    vertex_strictly_above = tuple(y * (n + 1) > x * n for x, y in interior)
+    return east_weakly_above, vertex_strictly_above
 
 
-def diagonal_flags(path: DelannoyPath) -> DiagonalFlags:
-    """Evaluate both diagonal comparisons for every East index of a central path."""
+def diagonal_flags(path: DelannoyPath) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """``diagonal_comparisons`` of a central path: the East-end flags and the
+    interior-vertex flags of its image."""
     image = phi(path)
-    n = image.endpoint[1]
     ends, _, _ = walk_east_steps(path.word)
-    east_flags = tuple(py >= px for px, py in ends)
-    vertex_flags = tuple(y * (n + 1) > x * n for x, y in image.interior)
-    return DiagonalFlags(east_flags, vertex_flags)
+    return diagonal_comparisons(image.endpoint[1], ends, image.interior)
 
 
 def preceding_d_counts(path: DelannoyPath) -> list[tuple[int, int]]:

@@ -402,12 +402,10 @@ def _per_step_unit(unit: tuple[int, int]) -> UnitResult:
     failures = FailureLog()
     tally = {label: 0 for label in CASE_LABELS}
     for path in enumerate_delannoy_by_e(n, k):
-        labels = step_labels(path)
+        north, east, _ = step_labels(path)
         ends, before_north, before_east = walk_east_steps(path.word)
         cases += k
-        steps = zip(
-            ends, labels.a_labels, labels.b_labels, before_north, before_east, strict=True
-        )
+        steps = zip(ends, north, east, before_north, before_east, strict=True)
         for east_index, ((px, py), x, y, d_north, d_east) in enumerate(steps, start=1):
             # the i-th East end against y = x, the i-th interior vertex of
             # the image against y = n/(n+1) x, cross-multiplied

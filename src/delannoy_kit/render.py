@@ -97,18 +97,16 @@ def _draw_path(group: ET.Element, panel: _Panel, vertices, dot_radii) -> None:
         )
 
 
-def _draw_step_labels(group: ET.Element, panel: _Panel, path: DelannoyPath, font: float) -> None:
-    x = y = 0
-    for ch in path.word:
+def _draw_step_labels(
+    group: ET.Element, panel: _Panel, word: str, vertices, font: float
+) -> None:
+    # vertices[0] is the origin, so vertices[1:] holds each step's end
+    for ch, (x, y) in zip(word, vertices[1:]):
         if ch == "E":
-            x += 1
-            pos, color, text = (x - 0.5, y + 0.12), EAST_LABEL_COLOR, str(y)
+            pos, color = (x - 0.5, y + 0.12), EAST_LABEL_COLOR
         elif ch == "N":
-            y += 1
-            pos, color, text = (x + 0.12, y - 0.4), NORTH_LABEL_COLOR, str(y)
+            pos, color = (x + 0.12, y - 0.4), NORTH_LABEL_COLOR
         else:
-            x += 1
-            y += 1
             continue
         px, py = panel.point(*pos)
         label = ET.SubElement(
@@ -116,7 +114,7 @@ def _draw_step_labels(group: ET.Element, panel: _Panel, path: DelannoyPath, font
             x=_fmt(px), y=_fmt(py), fill=color,
             attrib={"font-size": _fmt(font), "font-family": "sans-serif"},
         )
-        label.text = text
+        label.text = str(y)
 
 
 def render_pair(path: DelannoyPath, spec: RenderSpec = RenderSpec()) -> str:
@@ -158,6 +156,6 @@ def render_pair(path: DelannoyPath, spec: RenderSpec = RenderSpec()) -> str:
     _draw_path(group, right, image.vertices, radii[: len(image.vertices)])
 
     if spec.label_steps:
-        _draw_step_labels(group, left, path, font=cell * 0.35)
+        _draw_step_labels(group, left, path.word, word_vertices, font=cell * 0.35)
 
     return ET.tostring(root, encoding="unicode")

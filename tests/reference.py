@@ -26,13 +26,12 @@ from delannoy_kit import (
     classify_d_counts,
     count_delannoy_by_e,
     diagonal_flags,
-    east_ends,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
     parse_step_word,
     path_vertices,
     phi,
-    preceding_d_counts,
+    walk_east_steps,
 )
 from delannoy_kit.bijection import LETTER_TO_TAG, _height_slots
 
@@ -248,20 +247,19 @@ def classify_json(text):
     path = parse_step_word(text)
     n, k = central_index(path)
     image = phi(path)
-    flags = diagonal_flags(path)
-    pairs = preceding_d_counts(path)
-    ends = east_ends(path)
+    east_weakly_above, vertex_strictly_above = diagonal_flags(path)
+    ends, before_norths, before_easts = walk_east_steps(path.word)
     interior = image.interior
     steps = []
     for i in range(k):
-        before_north, before_east = pairs[i]
+        before_north, before_east = before_norths[i], before_easts[i]
         steps.append(
             {
                 "index": i + 1,
-                "east_end": list(ends[i].point),
-                "east_weakly_above": flags.east_weakly_above[i],
+                "east_end": list(ends[i]),
+                "east_weakly_above": east_weakly_above[i],
                 "interior_vertex": list(interior[i]),
-                "vertex_strictly_above": flags.vertex_strictly_above[i],
+                "vertex_strictly_above": vertex_strictly_above[i],
                 "d_before_north": before_north,
                 "d_before_east": before_east,
                 "case": classify_d_counts(before_north, before_east),

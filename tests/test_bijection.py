@@ -42,19 +42,17 @@ def word_order_tagged(word):
 
 class TestStepLabels:
     def test_worked_example(self):
-        labels = step_labels(parse_step_word(WORKED_WORD))
-        assert labels.a_labels == (1, 3, 4, 5, 8)
-        assert labels.b_labels == (1, 1, 5, 7, 7)
-        assert labels.c_labels == (2, 6, 7)
+        assert step_labels(parse_step_word(WORKED_WORD)) == (
+            [1, 3, 4, 5, 8],
+            [1, 1, 5, 7, 7],
+            [2, 6, 7],
+        )
 
     def test_empty(self):
-        labels = step_labels(parse_step_word(""))
-        assert labels == step_labels(parse_step_word(""))
-        assert (labels.a_labels, labels.b_labels, labels.c_labels) == ((), (), ())
+        assert step_labels(parse_step_word("")) == ([], [], [])
 
     def test_single_diagonal(self):
-        labels = step_labels(parse_step_word("D"))
-        assert (labels.a_labels, labels.b_labels, labels.c_labels) == ((), (), (1,))
+        assert step_labels(parse_step_word("D")) == ([], [], [1])
 
     def test_requires_central(self):
         with pytest.raises(NotCentral):
@@ -65,8 +63,7 @@ class TestStepLabels:
         # a strictly increasing and b weakly increasing is exactly what
         # makes the image a valid vertex path
         for path in enumerate_delannoy(n):
-            labels = step_labels(path)
-            a, b, c = labels.a_labels, labels.b_labels, labels.c_labels
+            a, b, c = step_labels(path)
             assert list(a) == sorted(set(a))
             assert list(b) == sorted(b)
             assert list(c) == sorted(set(c))
@@ -144,8 +141,7 @@ class TestMergeTagged:
         # merging a central path's grouped labels must reproduce the
         # word-order tagged reading of that same path
         for path in enumerate_delannoy(n):
-            labels = step_labels(path)
-            merged = merge_tagged(labels.a_labels, labels.b_labels, labels.c_labels)
+            merged = merge_tagged(*step_labels(path))
             assert merged == word_order_tagged(path.word)
 
     @given(

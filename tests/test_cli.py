@@ -18,7 +18,7 @@ from delannoy_kit import (
     sample_delannoy_stream,
     schroder,
 )
-from delannoy_kit import cli, harness
+from delannoy_kit import cli, geometry, harness
 from delannoy_kit.cli import build_parser, parse_vertex_text, run
 
 WORKED_WORD = "NEEDNNNEDDEEN"
@@ -49,6 +49,8 @@ CLASSIFY_EMPTY = (
 )
 # ... and its SHA-256 on the word sample_delannoy(512, 2024)
 CLASSIFY_512_SHA256 = "ea32dbd3d3b14adfbfa3dfefd2c829282c27ba5360c0ed457f124bfc110dc2a3"
+# SHA-256 of the stdout of ``render --word NEEDNNNEDDEEN --labels``
+RENDER_LABELS_SHA256 = "4711e3d4cfffc7edb160235cff691bc75f04a3152b49929a92fbff4a767ac95d"
 
 
 def invoke(capsys, *argv):
@@ -330,6 +332,24 @@ class TestClassify:
     def test_requires_central(self, capsys):
         assert invoke(capsys, "classify", "--word", "NEN")[0] == 2
 
+    def test_maps_and_walks_the_word_once(self, capsys, monkeypatch):
+        # counted wherever cli or the geometry helpers it calls look them up
+        calls = {"phi": 0, "walk_east_steps": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for module in (cli, geometry):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert invoke(capsys, "classify", "--word", WORKED_WORD)[0] == 0
+        assert calls == {"phi": 1, "walk_east_steps": 1}
+
 
 class TestVerify:
     def test_passes_small(self, capsys):
@@ -406,6 +426,11 @@ class TestRender:
         _, bare, _ = invoke(capsys, "render", "--word", "EN", "--no-grid", "--no-diagonal")
         assert len(bare) < len(full)
         assert "<text" in full and "<text" not in bare
+
+    def test_labelled_bytes_pinned(self, capsys):
+        code, out, err = invoke(capsys, "render", "--word", WORKED_WORD, "--labels")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == RENDER_LABELS_SHA256
 
     def test_cell_minimum_enforced(self, capsys):
         assert invoke(capsys, "render", "--word", "EN", "--cell", "3")[0] == 2

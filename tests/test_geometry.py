@@ -6,7 +6,6 @@ from delannoy_kit import (
     below_endpoint_chord,
     classify_d_counts,
     diagonal_flags,
-    east_ends,
     enumerate_delannoy,
     enumerate_kimberling,
     is_subdiagonal_delannoy,
@@ -15,6 +14,7 @@ from delannoy_kit import (
     parse_step_word,
     phi,
     preceding_d_counts,
+    walk_east_steps,
 )
 from delannoy_kit.geometry import (
     CASE_EQUAL,
@@ -71,40 +71,54 @@ class TestSubdiagonalKimberling:
         assert below_endpoint_chord(make_kimberling([(0, 0)]))
 
 
-class TestEastEnds:
+# (before_north, before_east) D counts of each East index, by hand
+HAND_PAIRS = [
+    ("EDN", [(1, 0)]),
+    ("NDE", [(0, 1)]),
+    ("DEN", [(1, 1)]),
+    ("END", [(0, 0)]),
+    ("D", []),
+    (WORKED_WORD, [(0, 0), (1, 0), (1, 1), (1, 3), (3, 3)]),
+]
+
+
+class TestWalkEastSteps:
     def test_worked_example(self):
-        ends = east_ends(parse_step_word(WORKED_WORD))
-        assert [e.point for e in ends] == [(1, 1), (2, 1), (4, 5), (7, 7), (8, 7)]
-        assert [e.index for e in ends] == [1, 2, 3, 4, 5]
+        ends, before_north, before_east = walk_east_steps(WORKED_WORD)
+        assert ends == [(1, 1), (2, 1), (4, 5), (7, 7), (8, 7)]
+        assert before_north == [0, 1, 1, 1, 3]
+        assert before_east == [0, 0, 1, 3, 3]
 
     def test_en(self):
-        assert [e.point for e in east_ends(parse_step_word("EN"))] == [(1, 0)]
+        assert walk_east_steps("EN") == ([(1, 0)], [0], [0])
 
     def test_no_east_steps(self):
-        assert east_ends(parse_step_word("D")) == []
+        assert walk_east_steps("D") == ([], [], [])
+
+    def test_empty(self):
+        assert walk_east_steps("") == ([], [], [])
+
+    @pytest.mark.parametrize("word,pairs", HAND_PAIRS)
+    def test_hand_d_counts(self, word, pairs):
+        _, before_north, before_east = walk_east_steps(word)
+        assert list(zip(before_north, before_east)) == pairs
 
 
 class TestDiagonalFlags:
     def test_ne(self):
-        flags = diagonal_flags(parse_step_word("NE"))
-        assert flags.east_weakly_above == (True,)
-        assert flags.vertex_strictly_above == (True,)
+        assert diagonal_flags(parse_step_word("NE")) == ((True,), (True,))
 
     def test_en(self):
-        flags = diagonal_flags(parse_step_word("EN"))
-        assert flags.east_weakly_above == (False,)
-        assert flags.vertex_strictly_above == (False,)
+        assert diagonal_flags(parse_step_word("EN")) == ((False,), (False,))
 
     def test_diagonal_only(self):
-        flags = diagonal_flags(parse_step_word("D"))
-        assert flags.east_weakly_above == ()
-        assert flags.vertex_strictly_above == ()
+        assert diagonal_flags(parse_step_word("D")) == ((), ())
 
     @pytest.mark.parametrize("n", range(6))
     def test_per_step_equivalence_exhaustive(self, n):
         for path in enumerate_delannoy(n):
-            flags = diagonal_flags(path)
-            assert flags.east_weakly_above == flags.vertex_strictly_above
+            east_weakly_above, vertex_strictly_above = diagonal_flags(path)
+            assert east_weakly_above == vertex_strictly_above
 
     @pytest.mark.parametrize("n", range(6))
     def test_interior_vertex_never_on_the_line(self, n):
@@ -119,17 +133,7 @@ class TestDiagonalFlags:
 
 
 class TestPrecedingDCounts:
-    @pytest.mark.parametrize(
-        "word,pairs",
-        [
-            ("EDN", [(1, 0)]),
-            ("NDE", [(0, 1)]),
-            ("DEN", [(1, 1)]),
-            ("END", [(0, 0)]),
-            ("D", []),
-            (WORKED_WORD, [(0, 0), (1, 0), (1, 1), (1, 3), (3, 3)]),
-        ],
-    )
+    @pytest.mark.parametrize("word,pairs", HAND_PAIRS)
     def test_hand_values(self, word, pairs):
         assert preceding_d_counts(parse_step_word(word)) == pairs
 

@@ -360,6 +360,123 @@ class TestGoldenFailureRecords:
         report = verify_roundtrip(5, workers=workers)
         assert _without_elapsed(report) == json.dumps(expected)
 
+    # The corrupted per-step runs, recorded while step_labels still returned
+    # a dataclass, of which only on_chord_labels saw the shape: whole reports
+    # of verify_per_step(3).
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+    def test_per_step_with_mirrored_east_ends(self, monkeypatch, workers):
+        def mirrored_walk(word):  # words ending in N see each East end as (y, x)
+            ends, before_north, before_east = original_walk(word)
+            if word.endswith("N"):
+                ends = [(y, x) for x, y in ends]
+            return ends, before_north, before_east
+
+        original_walk = harness.walk_east_steps
+        monkeypatch.setattr(harness, "walk_east_steps", mirrored_walk)
+        expected = _per_step_report(
+            55,
+            [
+                _mismatch(1, 1, "EN", 1),
+                _mismatch(2, 1, "DEN", 1),
+                _mismatch(2, 1, "EDN", 1),
+                _mismatch(2, 2, "EENN", 1),
+                _mismatch(2, 2, "EENN", 2),
+                _mismatch(2, 2, "ENEN", 1),
+                _mismatch(2, 2, "ENEN", 2),
+                _mismatch(2, 2, "NEEN", 2),
+                _mismatch(3, 1, "DDEN", 1),
+                _mismatch(3, 1, "DEDN", 1),
+            ],
+            PER_STEP_TALLIES,
+        )
+        report = verify_per_step(3, workers=workers)
+        assert _without_elapsed(report) == json.dumps(expected)
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+    def test_per_step_with_first_vertex_on_chord(self, monkeypatch, workers):
+        def on_chord_labels(path):  # words starting with E: first interior vertex (0, 0)
+            north, east, diagonal = original_labels(path)
+            if path.word.startswith("E"):
+                return [0, *north[1:]], [0, *east[1:]], diagonal
+            return north, east, diagonal
+
+        original_labels = harness.step_labels
+        monkeypatch.setattr(harness, "step_labels", on_chord_labels)
+        expected = _per_step_report(
+            31,
+            [
+                _on_diagonal(1, 1, "EN"),
+                _on_diagonal(2, 1, "EDN"),
+                _on_diagonal(2, 1, "END"),
+                _on_diagonal(2, 2, "EENN"),
+                _on_diagonal(2, 2, "ENEN"),
+                _on_diagonal(2, 2, "ENNE"),
+                _on_diagonal(3, 1, "EDDN"),
+                _on_diagonal(3, 1, "EDND"),
+                _on_diagonal(3, 1, "ENDD"),
+                _on_diagonal(3, 2, "EDENN"),
+            ],
+            PER_STEP_TALLIES,
+        )
+        report = verify_per_step(3, workers=workers)
+        assert _without_elapsed(report) == json.dumps(expected)
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+    def test_per_step_with_every_case_equal(self, monkeypatch, workers):
+        monkeypatch.setattr(harness, "classify_d_counts", lambda before_north, before_east: "equal")
+        missing = ["more_before_east", "more_before_north"]
+        expected = _per_step_report(
+            2,
+            [
+                {"kind": "case_class_missing", "n": 2, "missing": missing},
+                {"kind": "case_class_missing", "n": 3, "missing": missing},
+            ],
+            {
+                "0": {"equal": 0, "more_before_east": 0, "more_before_north": 0},
+                "1": {"equal": 2, "more_before_east": 0, "more_before_north": 0},
+                "2": {"equal": 18, "more_before_east": 0, "more_before_north": 0},
+                "3": {"equal": 132, "more_before_east": 0, "more_before_north": 0},
+            },
+        )
+        report = verify_per_step(3, workers=workers)
+        assert _without_elapsed(report) == json.dumps(expected)
+
+
+# the case tallies of the uncorrupted verify_per_step(3)
+PER_STEP_TALLIES = {
+    "0": {"equal": 0, "more_before_east": 0, "more_before_north": 0},
+    "1": {"equal": 2, "more_before_east": 0, "more_before_north": 0},
+    "2": {"equal": 16, "more_before_east": 1, "more_before_north": 1},
+    "3": {"equal": 110, "more_before_east": 11, "more_before_north": 11},
+}
+
+
+def _per_step_report(failure_count, failures, tallies):
+    return {
+        "check_name": "per-step",
+        "n_range": [0, 3],
+        "total_cases": 154,
+        "failure_count": failure_count,
+        "failures": failures,
+        "passed": False,
+        "details": {"case_tallies": tallies},
+    }
+
+
+def _mismatch(n, k, word, east_index):
+    return {
+        "kind": "step_vertex_mismatch", "n": n, "k": k, "input_word": word,
+        "east_index": east_index, "east_weakly_above": True, "vertex_strictly_above": False,
+    }
+
+
+def _on_diagonal(n, k, word):
+    return {
+        "kind": "vertex_on_diagonal", "n": n, "k": k, "input_word": word,
+        "east_index": 1, "interior_vertex": [0, 0],
+    }
+
 
 def _last_in_slice(word):
     k = word.count("E")

@@ -137,7 +137,7 @@ def test_sampled_geometry_beyond_the_exhaustive_range(n):
             below = is_subdiagonal_delannoy(path)
             assert is_subdiagonal_kimberling(image) == below
             transported.add(below)
-            flags = diagonal_flags(path)
-            assert flags.east_weakly_above == flags.vertex_strictly_above
+            east_weakly_above, vertex_strictly_above = diagonal_flags(path)
+            assert east_weakly_above == vertex_strictly_above
             assert all(y * (n + 1) != x * n for x, y in image.interior)
     assert transported == {False, True}
