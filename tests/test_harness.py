@@ -360,9 +360,9 @@ class TestGoldenFailureRecords:
         report = verify_roundtrip(5, workers=workers)
         assert _without_elapsed(report) == json.dumps(expected)
 
-    # The corrupted per-step runs, recorded while step_labels still returned
-    # a dataclass, of which only on_chord_labels saw the shape: whole reports
-    # of verify_per_step(3).
+    # The corrupted per-step runs below are whole reports of verify_per_step(3),
+    # recorded while step_labels still returned a dataclass; of the patches,
+    # only on_chord_labels depends on step_labels' return shape.
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_per_step_with_mirrored_east_ends(self, monkeypatch, workers):
