@@ -8,7 +8,6 @@ exhaustive verification harness, a CLI, and SVG rendering.
 from .lattice_core import (
     BadEndpoint,
     BadOrigin,
-    CentralIndex,
     DecreasingY,
     DelannoyPath,
     InvalidCharacter,
@@ -23,14 +22,12 @@ from .lattice_core import (
     path_vertices,
 )
 from .bijection import (
-    TaggedValue,
     inverse_parts,
     phi,
     phi_inverse,
     step_labels,
 )
 from .counting import (
-    binomial,
     count_delannoy,
     count_delannoy_by_e,
     count_kimberling,
@@ -67,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadEndpoint",
     "BadOrigin",
-    "CentralIndex",
     "DecreasingY",
     "DelannoyPath",
     "InvalidCharacter",
@@ -77,10 +73,8 @@ __all__ = [
     "NonIncreasingX",
     "NotCentral",
     "RenderSpec",
-    "TaggedValue",
     "VerificationReport",
     "below_endpoint_chord",
-    "binomial",
     "central_index",
     "classify_d_counts",
     "count_delannoy",

@@ -25,9 +25,8 @@ of equal B values.
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .lattice_core import (
     DelannoyPath,
@@ -38,18 +37,7 @@ from .lattice_core import (
     _unchecked_word,
 )
 
-LETTER_TO_TAG = {"N": "A", "E": "B", "D": "C"}
-_LETTERS_TO_TAGS = str.maketrans(LETTER_TO_TAG)
-
-
-class TaggedValue(NamedTuple):
-    """An integer carrying its source tag A, B, or C."""
-
-    value: int
-    tag: str
-
-    def __str__(self) -> str:
-        return f"{self.value}{self.tag}"
+_LETTERS_TO_TAGS = str.maketrans("NED", "ABC")
 
 
 def step_labels(path: DelannoyPath) -> tuple[list[int], list[int], list[int]]:
@@ -87,7 +75,11 @@ def phi(path: DelannoyPath) -> KimberlingPath:
     has exactly k interior vertices, one per East step.  Raises
     ``NotCentral`` for non-central paths.
     """
-    north, east, diagonal = step_labels(path)
+    return _pair_labels(*step_labels(path))
+
+
+def _pair_labels(north: list[int], east: list[int], diagonal: list[int]) -> KimberlingPath:
+    """The image path of a central word from its ``step_labels``."""
     n = len(north) + len(diagonal)
     # N heights rise strictly from >= 1 to <= n, E heights weakly within 0..n
     return _unchecked_vertices(((0, 0), *zip(north, east), (n + 1, n)))
@@ -111,22 +103,21 @@ def _height_slots(n: int, a: Iterable[int], b: Iterable[int]) -> list[str]:
 
 def inverse_parts(
     kpath: KimberlingPath,
-) -> tuple[list[int], list[int], list[int], list[TaggedValue]]:
+) -> tuple[list[int], list[int], list[int], list[tuple[int, str]]]:
     """The A, B, C sequences and merged tagged sequence for a path to (n+1, n).
 
     A is the sorted list of interior x-coordinates, B the weakly increasing
-    interior y-coordinates, C the ascending complement {1..n} \\ A.  Raises
+    interior y-coordinates, C the ascending complement {1..n} \\ A.  The
+    merge is a list of (value, tag) pairs, tag "A", "B" or "C".  Raises
     ``BadEndpoint`` when the terminal vertex has no (n+1, n) shape.
     """
     a = [x for x, _ in kpath.interior]
     b = [y for _, y in kpath.interior]
     slots = _height_slots(_image_order(kpath), a, b)
     c = [h for h, slot in enumerate(slots) if slot[:1] == "D"]
-    # the slots spell the merge's tags in the order of its values, A, B and C
-    # sorted; tuple.__new__ builds each TaggedValue without a Python-level call
+    # the slots spell the merge's tags in the order of its values, A, B and C sorted
     tags = "".join(slots).translate(_LETTERS_TO_TAGS)
-    merged = list(map(tuple.__new__, repeat(TaggedValue), zip(sorted(a + b + c), tags)))
-    return a, b, c, merged
+    return a, b, c, list(zip(sorted(a + b + c), tags))
 
 
 def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:

@@ -16,7 +16,7 @@ import re
 import sys
 from typing import Sequence
 
-from .bijection import inverse_parts, phi, phi_inverse, step_labels
+from .bijection import _pair_labels, inverse_parts, phi, phi_inverse, step_labels
 from .counting import (
     count_delannoy,
     count_delannoy_by_e,
@@ -104,9 +104,9 @@ def parse_vertex_text(text: str) -> KimberlingPath:
 def _cmd_map(args: argparse.Namespace) -> int:
     path = parse_step_word(args.word)
     n, k = central_index(path)
-    image = phi(path)
     if args.debug:
         north, east, diagonal = step_labels(path)
+        image = _pair_labels(north, east, diagonal)
         payload = {
             "vertices": [list(v) for v in image.vertices],
             "n": n,
@@ -114,10 +114,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
             "labels": {"north": north, "east": east, "diagonal": diagonal},
         }
         print(_dump(payload))
-    elif args.compact:
-        print(_vertex_compact(image))
     else:
-        print(_vertex_json(image))
+        image = phi(path)
+        print(_vertex_compact(image) if args.compact else _vertex_json(image))
     print(f"n={n} k={k}", file=sys.stderr)
     return 0
 

@@ -41,15 +41,6 @@ from typing import Iterator
 from .lattice_core import DelannoyPath, KimberlingPath, _unchecked_vertices, _unchecked_word
 
 
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def _require_order(n: int, caller: str) -> None:
     if n < 0:
         raise ValueError(f"{caller} requires n >= 0, got {n}")
@@ -70,7 +61,7 @@ def count_delannoy_by_e(n: int, k: int) -> int:
     _require_order(n, "count_delannoy_by_e")
     if not 0 <= k <= n:
         return 0
-    return binomial(n, k) * binomial(n + k, k)
+    return math.comb(n, k) * math.comb(n + k, k)
 
 
 def _slice_terms(m: int, j: int) -> Iterator[int]:
@@ -104,7 +95,7 @@ def count_kimberling_by_vertices(i: int, j: int, k: int) -> int:
         return 1 if (j == 0 and k == 0) else 0
     if not 0 <= k <= i - 1:
         return 0
-    return binomial(i - 1, k) * binomial(j + k, k)
+    return math.comb(i - 1, k) * math.comb(j + k, k)
 
 
 def count_kimberling(i: int, j: int) -> int:
@@ -122,8 +113,7 @@ def schroder(n: int) -> int:
     Kept free of any path enumeration so it can serve as an independent
     oracle for subdiagonal counts.
     """
-    if n < 0:
-        raise ValueError(f"schroder requires n >= 0, got {n}")
+    _require_order(n, "schroder")
     if n == 0:
         return 1
     prev, cur = 1, 2
@@ -153,6 +143,7 @@ def enumerate_delannoy_by_e(n: int, k: int) -> Iterator[DelannoyPath]:
     This is the k-slice of ``enumerate_delannoy(n)`` in the same relative
     order; the harness uses it to partition sweeps into independent units.
     """
+    _require_order(n, "enumerate_delannoy_by_e")
     if not 0 <= k <= n:
         return
     # Algorithm L: the ASCII order of the letters is the order D < E < N.
@@ -180,6 +171,7 @@ def enumerate_kimberling_by_vertices(i: int, j: int, k: int) -> Iterator[Kimberl
     increasing y-tuple.  The x-set and y-multiset choices are independent,
     which is exactly what makes the count C(i-1, k) * C(j+k, k).
     """
+    _require_endpoint(i, j, "enumerate_kimberling_by_vertices")
     if i == 0:
         if j == 0 and k == 0:
             yield KimberlingPath(((0, 0),))
@@ -187,11 +179,6 @@ def enumerate_kimberling_by_vertices(i: int, j: int, k: int) -> Iterator[Kimberl
     if not 0 <= k <= i - 1:
         return
     end = (i, j)
-    if j < 0:
-        # only the direct step (k == 0) is a candidate; the checked constructor rejects it
-        if k == 0:
-            yield KimberlingPath(((0, 0), end))
-        return
     for xs in combinations(range(1, i), k):
         for ys in combinations_with_replacement(range(j + 1), k):
             # x rises strictly within 1..i-1 and y weakly within 0..j

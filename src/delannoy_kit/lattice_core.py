@@ -29,7 +29,7 @@ from __future__ import annotations
 import copyreg
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 LatticePoint = tuple[int, int]
 
@@ -105,13 +105,6 @@ class BadEndpoint(LatticeError):
 _DISPLACEMENT: dict[str, LatticePoint] = {"E": (1, 0), "N": (0, 1), "D": (1, 1)}
 
 
-class CentralIndex(NamedTuple):
-    """Index of a central path: endpoint (n, n), k East steps."""
-
-    n: int
-    k: int
-
-
 @dataclass(frozen=True)
 class DelannoyPath:
     """A (possibly empty) word over E/N/D, stored in canonical uppercase."""
@@ -123,18 +116,6 @@ class DelannoyPath:
             for position, char in enumerate(self.word, start=1):
                 if char not in _ALPHABET:
                     raise InvalidCharacter(position, char)
-
-    @property
-    def e_count(self) -> int:
-        return self.word.count("E")
-
-    @property
-    def n_count(self) -> int:
-        return self.word.count("N")
-
-    @property
-    def d_count(self) -> int:
-        return self.word.count("D")
 
     def __len__(self) -> int:
         return len(self.word)
@@ -218,13 +199,15 @@ def path_vertices(path: DelannoyPath) -> tuple[LatticePoint, ...]:
     return tuple(verts)
 
 
-def central_index(path: DelannoyPath) -> CentralIndex:
+def central_index(path: DelannoyPath) -> tuple[int, int]:
     """Return (n, k) for a central path; raise ``NotCentral`` otherwise."""
-    e = path.e_count
-    n_ = path.n_count
-    if e != n_:
-        raise NotCentral(e, n_)
-    return CentralIndex(n=e + path.d_count, k=e)
+    word = path.word
+    e = word.count("E")
+    north = word.count("N")
+    if e != north:
+        raise NotCentral(e, north)
+    # n = #E + #D, every letter that is not N
+    return len(word) - north, e
 
 
 def make_kimberling(vertices: Iterable[Iterable[int]]) -> KimberlingPath:

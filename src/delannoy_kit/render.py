@@ -53,25 +53,6 @@ class _Panel:
         return self.ox + x * self.cell, self.oy + (self.h - y) * self.cell
 
 
-def _draw_grid(group: ET.Element, panel: _Panel, w_units: int, h_units: int) -> None:
-    for gx in range(w_units + 1):
-        x0, y0 = panel.point(gx, 0)
-        _, y1 = panel.point(gx, h_units)
-        ET.SubElement(
-            group, "line",
-            x1=_fmt(x0), y1=_fmt(y0), x2=_fmt(x0), y2=_fmt(y1),
-            stroke=GRID_COLOR, attrib={"stroke-width": "1"},
-        )
-    for gy in range(h_units + 1):
-        x0, y0 = panel.point(0, gy)
-        x1, _ = panel.point(w_units, gy)
-        ET.SubElement(
-            group, "line",
-            x1=_fmt(x0), y1=_fmt(y0), x2=_fmt(x1), y2=_fmt(y0),
-            stroke=GRID_COLOR, attrib={"stroke-width": "1"},
-        )
-
-
 def _draw_segment(group: ET.Element, panel: _Panel, a, b, color: str, width: float) -> None:
     x0, y0 = panel.point(*a)
     x1, y1 = panel.point(*b)
@@ -80,6 +61,13 @@ def _draw_segment(group: ET.Element, panel: _Panel, a, b, color: str, width: flo
         x1=_fmt(x0), y1=_fmt(y0), x2=_fmt(x1), y2=_fmt(y1),
         stroke=color, attrib={"stroke-width": _fmt(width)},
     )
+
+
+def _draw_grid(group: ET.Element, panel: _Panel, w_units: int, h_units: int) -> None:
+    for gx in range(w_units + 1):
+        _draw_segment(group, panel, (gx, 0), (gx, h_units), GRID_COLOR, 1)
+    for gy in range(h_units + 1):
+        _draw_segment(group, panel, (0, gy), (w_units, gy), GRID_COLOR, 1)
 
 
 def _draw_path(group: ET.Element, panel: _Panel, vertices, dot_radii) -> None:

@@ -21,7 +21,6 @@ from delannoy_kit import (
     BadEndpoint,
     DelannoyPath,
     LatticeError,
-    TaggedValue,
     central_index,
     classify_d_counts,
     count_delannoy_by_e,
@@ -33,8 +32,9 @@ from delannoy_kit import (
     phi,
     walk_east_steps,
 )
-from delannoy_kit.bijection import LETTER_TO_TAG, _height_slots
+from delannoy_kit.bijection import _height_slots
 
+LETTER_TO_TAG = {"N": "A", "E": "B", "D": "C"}
 TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
 
 
@@ -100,20 +100,18 @@ def merge_tagged(a_set, b_multiset, c_set):
     heights = sorted(a + c)
     rank = partial(bisect_right, heights)
     letters = "".join(_height_slots(len(heights), map(rank, a), map(rank, b)))
-    return [
-        TaggedValue(v, LETTER_TO_TAG[ch]) for v, ch in zip(sorted(a + b + c), letters)
-    ]
+    return [(v, LETTER_TO_TAG[ch]) for v, ch in zip(sorted(a + b + c), letters)]
 
 
 def tagged_to_word(tagged):
     """Spell a tagged sequence as a step word via A -> N, B -> E, C -> D."""
-    return "".join(TAG_TO_LETTER[t.tag] for t in tagged)
+    return "".join(TAG_TO_LETTER[tag] for _, tag in tagged)
 
 
 def bisect_merge_tagged(a_set, b_multiset, c_set):
     """Interleave A and B (A first on ties), then insert each C leftmost."""
     values, tags = _merge_core(*_validated_parts(a_set, b_multiset, c_set))
-    return [TaggedValue(v, t) for v, t in zip(values, tags)]
+    return list(zip(values, tags))
 
 
 def _merge_core(a, b, c):

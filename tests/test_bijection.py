@@ -7,7 +7,6 @@ from delannoy_kit import (
     BadEndpoint,
     LatticeError,
     NotCentral,
-    TaggedValue,
     central_index,
     enumerate_delannoy,
     enumerate_kimberling,
@@ -30,13 +29,13 @@ def word_order_tagged(word):
     out = []
     for ch in word:
         if ch == "E":
-            out.append(TaggedValue(y, "B"))
+            out.append((y, "B"))
         elif ch == "N":
             y += 1
-            out.append(TaggedValue(y, "A"))
+            out.append((y, "A"))
         else:
             y += 1
-            out.append(TaggedValue(y, "C"))
+            out.append((y, "C"))
     return out
 
 
@@ -100,18 +99,18 @@ class TestPhi:
 class TestMergeTagged:
     def test_worked_example(self):
         merged = merge_tagged([1, 3, 4, 5, 8], [1, 1, 5, 7, 7], [2, 6, 7])
-        assert " ".join(map(str, merged)) == WORKED_MERGED
+        assert " ".join(f"{v}{t}" for v, t in merged) == WORKED_MERGED
 
     def test_insert_into_empty(self):
-        assert merge_tagged([], [], [1]) == [TaggedValue(1, "C")]
+        assert merge_tagged([], [], [1]) == [(1, "C")]
 
     def test_a_before_equal_b(self):
         merged = merge_tagged([1], [0, 1], [])
-        assert merged == [TaggedValue(0, "B"), TaggedValue(1, "A"), TaggedValue(1, "B")]
+        assert merged == [(0, "B"), (1, "A"), (1, "B")]
 
     def test_c_before_equal_b(self):
         merged = merge_tagged([], [3, 3], [3])
-        assert [t.tag for t in merged] == ["C", "B", "B"]
+        assert [t for _, t in merged] == ["C", "B", "B"]
 
     def test_overlapping_a_c_rejected(self):
         with pytest.raises(OverlappingAC) as exc:
@@ -155,15 +154,15 @@ class TestMergeTagged:
         c = [v for v, keep in zip(ordered, mask) if not keep]
         b = sorted(b_values)
         merged = merge_tagged(a, b, c)
-        values = [t.value for t in merged]
+        values = [v for v, _ in merged]
         assert values == sorted(values)
         assert len(merged) == len(a) + len(b) + len(c)
-        assert [t.value for t in merged if t.tag == "A"] == a
-        assert [t.value for t in merged if t.tag == "B"] == b
-        assert [t.value for t in merged if t.tag == "C"] == c
+        assert [v for v, t in merged if t == "A"] == a
+        assert [v for v, t in merged if t == "B"] == b
+        assert [v for v, t in merged if t == "C"] == c
         # among entries of one value, every A and C precedes every B
         for value in set(values):
-            tags = [t.tag for t in merged if t.value == value]
+            tags = [t for v, t in merged if v == value]
             first_b = tags.index("B") if "B" in tags else len(tags)
             assert all(tag == "B" for tag in tags[first_b:])
 
@@ -193,7 +192,7 @@ class TestPhiInverse:
         assert a == [1, 3, 4, 5, 8]
         assert b == [1, 1, 5, 7, 7]
         assert c == [2, 6, 7]
-        assert " ".join(map(str, merged)) == WORKED_MERGED
+        assert " ".join(f"{v}{t}" for v, t in merged) == WORKED_MERGED
 
 
 class TestRoundTrips:
@@ -216,7 +215,7 @@ class TestRoundTrips:
     @pytest.mark.parametrize("n", range(6))
     def test_statistic_transport(self, n):
         for path in enumerate_delannoy(n):
-            assert len(phi(path).interior) == path.e_count
+            assert len(phi(path).interior) == path.word.count("E")
 
     @given(st.data())
     def test_roundtrip_random_larger_orders(self, data):

@@ -18,7 +18,8 @@ from delannoy_kit import (
     sample_delannoy_stream,
     schroder,
 )
-from delannoy_kit import cli, geometry, harness
+import delannoy_kit
+from delannoy_kit import bijection, cli, geometry, harness
 from delannoy_kit.cli import build_parser, parse_vertex_text, run
 
 WORKED_WORD = "NEEDNNNEDDEEN"
@@ -81,6 +82,22 @@ class TestMapUnmap:
             "east": [1, 1, 5, 7, 7],
             "diagonal": [2, 6, 7],
         }
+
+    def test_map_debug_walks_the_word_once(self, capsys, monkeypatch):
+        # counted wherever cli or phi look it up
+        calls = []
+
+        def counted(original):
+            def wrapper(*args):
+                calls.append(args)
+                return original(*args)
+
+            return wrapper
+
+        for module in (cli, bijection):
+            monkeypatch.setattr(module, "step_labels", counted(module.step_labels))
+        assert invoke(capsys, "map", WORKED_WORD, "--debug")[0] == 0
+        assert len(calls) == 1
 
     def test_unmap_json_input(self, capsys):
         code, out, err = invoke(capsys, "unmap", WORKED_JSON)
@@ -264,11 +281,25 @@ class TestEnumerate:
         assert err == ""
 
     def test_kimberling_k_slice_to_a_negative_height_fails(self, capsys):
-        code, out, err = invoke(
-            capsys, "enumerate", "kimberling", "--i", "3", "--j", "-1", "--k-only", "0"
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: y-coordinate decreases at vertex 1\n"
+        # each slice outside its family's range fails as `count` does on the
+        # same arguments, not with an empty listing
+        for argv, message in [
+            (
+                ("kimberling", "--i", "3", "--j", "-1", "--k-only", "0"),
+                "enumerate_kimberling_by_vertices requires i, j >= 0, got (3, -1)",
+            ),
+            (
+                ("kimberling", "--i", "2", "--j", "-1", "--k-only", "1"),
+                "enumerate_kimberling_by_vertices requires i, j >= 0, got (2, -1)",
+            ),
+            (
+                ("delannoy", "--n", "-1", "--k-only", "0"),
+                "enumerate_delannoy_by_e requires n >= 0, got -1",
+            ),
+        ]:
+            assert invoke(capsys, "enumerate", *argv) == (2, "", f"error: {message}\n")
+            count_argv = ["--k" if arg == "--k-only" else arg for arg in argv]
+            assert invoke(capsys, "count", *count_argv)[:2] == (2, "")
 
     def test_requires_family_endpoints(self, capsys):
         assert invoke(capsys, "enumerate", "delannoy")[0] == 2
@@ -440,6 +471,55 @@ class TestRender:
 
 
 class TestTopLevel:
+    def test_public_names_pinned(self):
+        # a change to the public surface edits this list on purpose
+        assert sorted(delannoy_kit.__all__) == [
+            "BadEndpoint",
+            "BadOrigin",
+            "DecreasingY",
+            "DelannoyPath",
+            "InvalidCharacter",
+            "KimberlingPath",
+            "LatticeError",
+            "LatticePoint",
+            "NonIncreasingX",
+            "NotCentral",
+            "RenderSpec",
+            "VerificationReport",
+            "below_endpoint_chord",
+            "central_index",
+            "classify_d_counts",
+            "count_delannoy",
+            "count_delannoy_by_e",
+            "count_kimberling",
+            "count_kimberling_by_vertices",
+            "diagonal_flags",
+            "enumerate_delannoy",
+            "enumerate_delannoy_by_e",
+            "enumerate_kimberling",
+            "enumerate_kimberling_by_vertices",
+            "inverse_parts",
+            "is_subdiagonal_delannoy",
+            "is_subdiagonal_kimberling",
+            "make_kimberling",
+            "parse_step_word",
+            "path_vertices",
+            "phi",
+            "phi_inverse",
+            "preceding_d_counts",
+            "render_pair",
+            "run_checks",
+            "sample_delannoy",
+            "sample_delannoy_stream",
+            "schroder",
+            "step_labels",
+            "verify_counts",
+            "verify_per_step",
+            "verify_roundtrip",
+            "verify_subdiagonal",
+            "walk_east_steps",
+        ]
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2
 

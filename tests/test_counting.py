@@ -4,7 +4,6 @@ import itertools
 import pytest
 
 from delannoy_kit import (
-    binomial,
     count_delannoy,
     count_delannoy_by_e,
     count_kimberling,
@@ -67,16 +66,6 @@ def brute_subdiagonal(word):
         if y > x:
             return False
     return True
-
-
-class TestBinomial:
-    @pytest.mark.parametrize("n,k,expected", [(5, 2, 10), (0, 0, 1), (3, 5, 0), (4, -1, 0)])
-    def test_values(self, n, k, expected):
-        assert binomial(n, k) == expected
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
 
 
 class TestDelannoyCounts:
@@ -309,8 +298,9 @@ class TestSampling:
 
     def test_samples_are_central(self):
         for path in sample_delannoy_stream(7, 50, seed=3):
-            assert path.e_count == path.n_count
-            assert path.e_count + path.d_count == 7
+            e, n_, d = map(path.word.count, "END")
+            assert e == n_
+            assert e + d == 7
 
     def test_every_path_reachable_small(self):
         # 13 words at n=2; 1500 draws miss one with prob < 1e-40 under uniformity

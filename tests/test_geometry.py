@@ -153,7 +153,7 @@ class TestPrecedingDCounts:
     @pytest.mark.parametrize("n", range(6))
     def test_pair_count_matches_east_count(self, n):
         for path in enumerate_delannoy(n):
-            assert len(preceding_d_counts(path)) == path.e_count
+            assert len(preceding_d_counts(path)) == path.word.count("E")
 
 
 class TestVertexCheckSufficiency:

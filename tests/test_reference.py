@@ -16,7 +16,6 @@ import reference
 from delannoy_kit import (
     DelannoyPath,
     LatticeError,
-    TaggedValue,
     diagonal_flags,
     enumerate_delannoy,
     enumerate_delannoy_by_e,
@@ -52,8 +51,7 @@ def test_inverse_matches_merge_reference_on_every_vertex_path(n):
         parts = inverse_parts(kpath)
         expected = reference.inverse_parts(kpath)
         assert parts == expected
-        assert all(type(t) is TaggedValue for t in parts[3])
-        assert list(map(str, parts[3])) == list(map(str, expected[3]))
+        assert all(type(t) is tuple for t in parts[3])
 
 
 def _outcome(merge, a, b, c):
