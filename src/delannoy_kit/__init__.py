@@ -49,14 +49,7 @@ from .geometry import (
     preceding_d_counts,
     walk_east_steps,
 )
-from .harness import (
-    VerificationReport,
-    run_checks,
-    verify_counts,
-    verify_per_step,
-    verify_roundtrip,
-    verify_subdiagonal,
-)
+from .harness import VerificationReport, run_checks
 from .render import RenderSpec, render_pair
 
 __version__ = "0.1.0"
@@ -101,9 +94,5 @@ __all__ = [
     "sample_delannoy_stream",
     "schroder",
     "step_labels",
-    "verify_counts",
-    "verify_per_step",
-    "verify_roundtrip",
-    "verify_subdiagonal",
     "walk_east_steps",
 ]

@@ -8,6 +8,9 @@ counterexamples, and an exact failure count.
 
 Sweeps are partitioned into (n, k) units -- the paths with k East steps on
 the word side, the paths with k interior vertices on the vertex side.
+One ``run_checks`` call is one sweep: a single pass per unit enumerates
+each family's slice once and serves every check asked for, and every
+report of that call carries the sweep's wall time as ``elapsed_ms``.
 Units are independent, and their partial results merge by exact addition,
 so they may run across worker processes.  The DELANNOY_KIT_THREADS
 environment variable asks for a worker count (0 = one per CPU, unset = 1);
@@ -28,6 +31,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from math import comb
 from typing import Any, Callable, Iterable
@@ -56,11 +60,13 @@ ENV_THREADS = "DELANNOY_KIT_THREADS"
 
 @dataclass
 class VerificationReport:
-    """Outcome of one sweep.
+    """Outcome of one check in one sweep.
 
     ``failures`` holds at most ``FAILURE_CAP`` counterexample records;
     ``failure_count`` stays exact regardless.  ``details`` carries
-    check-specific payloads such as case tallies.
+    check-specific payloads such as case tallies.  ``elapsed_ms`` is the
+    wall time of the whole sweep, the same on every report of one
+    ``run_checks`` call.
     """
 
     check_name: str
@@ -106,8 +112,9 @@ class FailureLog:
         self.records.extend(other.records[: FAILURE_CAP - len(self.records)])
 
 
-# A unit returns (cases, failures, extra); a summary folds the units' extras
-# into its own cases and report details, recording any failures it finds.
+# A unit returns one (cases, failures, extra) per check; a summary folds one
+# check's extras into its own cases and report details, recording any
+# failures it finds.
 UnitResult = tuple[int, FailureLog, Any]
 Summary = Callable[[int, list[Any], FailureLog], tuple[int, dict[str, Any]]]
 
@@ -127,50 +134,6 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers == 0:
         return os.cpu_count() or 1
     return workers
-
-
-def _sweep(
-    check_name: str,
-    unit_fn: Callable[[tuple[int, int]], UnitResult],
-    n_max: int,
-    workers: int | None,
-    summarize: Summary | None = None,
-) -> VerificationReport:
-    """Run ``unit_fn`` on every (n, k) unit with 0 <= k <= n <= n_max, in
-    that order, and merge the results into one report.
-
-    Raises ``ValueError`` for a sweep whose merged case total is 0, such as
-    any sweep with a negative ``n_max``, since it would check nothing."""
-    start = time.perf_counter()
-    units = [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
-    processes = min(resolve_workers(workers), len(units), os.cpu_count() or 1)
-    if processes <= 1:
-        results = [unit_fn(u) for u in units]
-    else:
-        with multiprocessing.Pool(processes=processes) as pool:
-            results = pool.map(unit_fn, units, chunksize=1)
-    cases = 0
-    failures = FailureLog()
-    for unit_cases, unit_failures, _ in results:
-        cases += unit_cases
-        failures.extend(unit_failures)
-    details: dict[str, Any] = {}
-    if summarize is not None:
-        summary_cases, details = summarize(n_max, [r[2] for r in results], failures)
-        cases += summary_cases
-    if cases == 0:
-        raise ValueError(
-            f"the {check_name} check has no cases at n_max={n_max}; that sweep would check nothing"
-        )
-    return VerificationReport(
-        check_name=check_name,
-        n_range=(0, n_max),
-        total_cases=cases,
-        failure_count=failures.count,
-        failures=failures.records,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-        details=details,
-    )
 
 
 def _vertex_list(kpath) -> list[list[int]]:
@@ -223,143 +186,136 @@ class _SliceRank:
         return xs, tuple(c - t for t, c in enumerate(_lex_subset(self.n + self.k, self.k, y_rank)))
 
 
-# ---------------------------------------------------------------------------
-# round trip
+def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
+    """One pass over the (n, k) slice of each family for every check in
+    ``names``; returns one (cases, failures, extra) per name, in order.
 
-
-def _roundtrip_unit(unit: tuple[int, int]) -> UnitResult:
+    Each word is mapped with ``phi`` once, if roundtrip or subdiagonal is
+    asked; the vertex slice is walked only if one of them or counts is."""
     n, k = unit
-    words = enumerated = 0
-    failures = FailureLog()
-    ranks = _SliceRank(n, k)
-    hits = bytearray(ranks.size)
-    unexpected: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    roundtrip, counts = "roundtrip" in names, "counts" in names
+    subdiagonal, per_step = "subdiagonal" in names, "per-step" in names
+    logs = {name: FailureLog() for name in CHECKS}
+    words = vertex_paths = subdiagonal_words = subdiagonal_vertex_paths = 0
+    tally = {label: 0 for label in CASE_LABELS}
+    if roundtrip:
+        ranks = _SliceRank(n, k)
+        hits = bytearray(ranks.size)
+        unexpected: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        in_order = True
 
     for path in enumerate_delannoy_by_e(n, k):
         words += 1
-        image = phi(path)
-        rank = ranks.rank(image)
-        if rank is not None:
-            hits[rank] = 1
-        elif (key := tuple(zip(*image.interior)) or ((), ())) not in unexpected:
-            unexpected = sorted([*unexpected, key])[:3]
-        back = phi_inverse(image)
-        if back.word != path.word:
-            failures.add(
-                "inverse_roundtrip",
+        if roundtrip or subdiagonal:
+            image = phi(path)
+        if roundtrip:
+            rank = ranks.rank(image)
+            if rank is not None:
+                hits[rank] = 1
+            elif (key := tuple(zip(*image.interior)) or ((), ())) not in unexpected:
+                unexpected = sorted([*unexpected, key])[:3]
+            back = phi_inverse(image)
+            if back.word != path.word:
+                logs["roundtrip"].add(
+                    "inverse_roundtrip",
+                    n=n,
+                    k=k,
+                    input_word=path.word,
+                    expected=path.word,
+                    actual=back.word,
+                )
+        if subdiagonal:
+            word_flag = is_subdiagonal_delannoy(path)
+            vertex_flag = is_subdiagonal_kimberling(image)
+            subdiagonal_words += word_flag
+            if word_flag != vertex_flag:
+                logs["subdiagonal"].add(
+                    "subdiagonal_transport",
+                    n=n,
+                    k=k,
+                    input_word=path.word,
+                    delannoy_subdiagonal=word_flag,
+                    kimberling_subdiagonal=vertex_flag,
+                )
+        if per_step:
+            north, east, _ = step_labels(path)
+            ends, before_north, before_east = walk_east_steps(path.word)
+            steps = zip(ends, north, east, before_north, before_east, strict=True)
+            for east_index, ((px, py), x, y, d_north, d_east) in enumerate(steps, start=1):
+                # the i-th East end against y = x, the i-th interior vertex of
+                # the image against y = n/(n+1) x, cross-multiplied
+                east_flag = py >= px
+                vertex_flag = y * (n + 1) > x * n
+                if east_flag != vertex_flag:
+                    logs["per-step"].add(
+                        "step_vertex_mismatch",
+                        n=n,
+                        k=k,
+                        input_word=path.word,
+                        east_index=east_index,
+                        east_weakly_above=east_flag,
+                        vertex_strictly_above=vertex_flag,
+                    )
+                if y * (n + 1) == x * n:
+                    logs["per-step"].add(
+                        "vertex_on_diagonal",
+                        n=n,
+                        k=k,
+                        input_word=path.word,
+                        east_index=east_index,
+                        interior_vertex=[x, y],
+                    )
+                tally[classify_d_counts(d_north, d_east)] += 1
+
+    if roundtrip or counts or subdiagonal:
+        for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
+            if roundtrip:
+                in_order = in_order and ranks.rank(kpath) == vertex_paths
+                back_path = phi(phi_inverse(kpath))
+                if back_path != kpath:
+                    logs["roundtrip"].add(
+                        "forward_roundtrip",
+                        n=n,
+                        k=k,
+                        input_vertices=_vertex_list(kpath),
+                        expected=_vertex_list(kpath),
+                        actual=_vertex_list(back_path),
+                    )
+            if subdiagonal:
+                subdiagonal_vertex_paths += is_subdiagonal_kimberling(kpath)
+            vertex_paths += 1
+
+    if roundtrip:
+        if not in_order or vertex_paths != ranks.size:
+            logs["roundtrip"].add(
+                "vertex_order", n=n, k=k, slice_size=ranks.size, enumerated=vertex_paths
+            )
+        if unexpected or words != ranks.size or 0 in hits:
+            unhit = (rank for rank, hit in enumerate(hits) if not hit)
+            missing = [ranks.key(rank) for rank in islice(unhit, 3)]
+            logs["roundtrip"].add(
+                "image_set", n=n, k=k, missing_from_image=missing, unexpected_in_image=unexpected
+            )
+    if counts:
+        formula = count_delannoy_by_e(n, k)
+        vertex_formula = count_kimberling_by_vertices(n + 1, n, k)
+        if not formula == vertex_formula == words == vertex_paths:
+            logs["counts"].add(
+                "path_count",
                 n=n,
                 k=k,
-                input_word=path.word,
-                expected=path.word,
-                actual=back.word,
+                expected=formula,
+                kimberling_formula=vertex_formula,
+                delannoy_enumerated=words,
+                kimberling_enumerated=vertex_paths,
             )
-
-    in_order = True
-    for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
-        in_order = in_order and ranks.rank(kpath) == enumerated
-        enumerated += 1
-        back_path = phi(phi_inverse(kpath))
-        if back_path != kpath:
-            failures.add(
-                "forward_roundtrip",
-                n=n,
-                k=k,
-                input_vertices=_vertex_list(kpath),
-                expected=_vertex_list(kpath),
-                actual=_vertex_list(back_path),
-            )
-
-    if not in_order or enumerated != ranks.size:
-        failures.add("vertex_order", n=n, k=k, slice_size=ranks.size, enumerated=enumerated)
-    if unexpected or words != ranks.size or 0 in hits:
-        unhit = (rank for rank, hit in enumerate(hits) if not hit)
-        missing = [ranks.key(rank) for rank in islice(unhit, 3)]
-        failures.add(
-            "image_set", n=n, k=k, missing_from_image=missing, unexpected_in_image=unexpected
-        )
-    return words + enumerated, failures, None
-
-
-def verify_roundtrip(n_max: int, workers: int | None = None) -> VerificationReport:
-    """Both round trips plus image-set equality, exhaustively for n <= n_max.
-
-    Cases counted: one per word-side path (inverse-after-forward) and one
-    per vertex-side path (forward-after-inverse), so the total is twice the
-    family size summed over n.
-
-    Each image's rank in its (n, k) slice (``_SliceRank``) is marked in a
-    bytearray.  A unit whose images are not the slice, each path once,
-    records one ``image_set`` failure after its round trips:
-    ``missing_from_image`` holds the ``(xs, ys)`` interior coordinates of
-    the three lowest unhit ranks, ``unexpected_in_image`` the three
-    smallest distinct ones outside the slice, both sorted.  A vertex
-    enumerator that does not yield ranks 0, 1, 2, ... through the slice
-    records one ``vertex_order`` before that.
-    """
-    return _sweep("roundtrip", _roundtrip_unit, n_max, workers)
-
-
-# ---------------------------------------------------------------------------
-# refined counts
-
-
-def _counts_unit(unit: tuple[int, int]) -> UnitResult:
-    n, k = unit
-    formula = count_delannoy_by_e(n, k)
-    vertex_formula = count_kimberling_by_vertices(n + 1, n, k)
-    word_enumerated = sum(1 for _ in enumerate_delannoy_by_e(n, k))
-    vertex_enumerated = sum(1 for _ in enumerate_kimberling_by_vertices(n + 1, n, k))
-    failures = FailureLog()
-    if not formula == vertex_formula == word_enumerated == vertex_enumerated:
-        failures.add(
-            "path_count",
-            n=n,
-            k=k,
-            expected=formula,
-            kimberling_formula=vertex_formula,
-            delannoy_enumerated=word_enumerated,
-            kimberling_enumerated=vertex_enumerated,
-        )
-    return 1, failures, None
-
-
-def verify_counts(n_max: int, workers: int | None = None) -> VerificationReport:
-    """Enumerated per-k counts of both families against the closed form.
-
-    One case per (n, k) cell with 0 <= k <= n <= n_max; each cell compares
-    four exact integers.
-    """
-    return _sweep("counts", _counts_unit, n_max, workers)
-
-
-# ---------------------------------------------------------------------------
-# subdiagonal transport and Schroder totals
-
-
-def _subdiagonal_unit(unit: tuple[int, int]) -> UnitResult:
-    n, k = unit
-    cases = 0
-    failures = FailureLog()
-    subdiagonal_words = 0
-    for path in enumerate_delannoy_by_e(n, k):
-        cases += 1
-        word_flag = is_subdiagonal_delannoy(path)
-        vertex_flag = is_subdiagonal_kimberling(phi(path))
-        subdiagonal_words += word_flag
-        if word_flag != vertex_flag:
-            failures.add(
-                "subdiagonal_transport",
-                n=n,
-                k=k,
-                input_word=path.word,
-                delannoy_subdiagonal=word_flag,
-                kimberling_subdiagonal=vertex_flag,
-            )
-    subdiagonal_vertex_paths = sum(
-        is_subdiagonal_kimberling(kpath)
-        for kpath in enumerate_kimberling_by_vertices(n + 1, n, k)
-    )
-    return cases, failures, (n, subdiagonal_words, subdiagonal_vertex_paths)
+    results = {
+        "roundtrip": (words + vertex_paths, None),
+        "counts": (1, None),
+        "subdiagonal": (words, (n, subdiagonal_words, subdiagonal_vertex_paths)),
+        "per-step": (k * words, (n, tally)),
+    }
+    return [(results[name][0], logs[name], results[name][1]) for name in names]
 
 
 def _schroder_totals(
@@ -382,58 +338,6 @@ def _schroder_totals(
     return 2 * len(totals), {"schroder": schroder_row}
 
 
-def verify_subdiagonal(n_max: int, workers: int | None = None) -> VerificationReport:
-    """Per-path subdiagonality transport plus both family totals against the oracle.
-
-    Cases: one per word-side path (transport), plus two per n comparing the
-    subdiagonal cardinality of each family to the recurrence-computed
-    Schroder number.
-    """
-    return _sweep("subdiagonal", _subdiagonal_unit, n_max, workers, _schroder_totals)
-
-
-# ---------------------------------------------------------------------------
-# per-step equivalence, never-equals, and case coverage
-
-
-def _per_step_unit(unit: tuple[int, int]) -> UnitResult:
-    n, k = unit
-    cases = 0
-    failures = FailureLog()
-    tally = {label: 0 for label in CASE_LABELS}
-    for path in enumerate_delannoy_by_e(n, k):
-        north, east, _ = step_labels(path)
-        ends, before_north, before_east = walk_east_steps(path.word)
-        cases += k
-        steps = zip(ends, north, east, before_north, before_east, strict=True)
-        for east_index, ((px, py), x, y, d_north, d_east) in enumerate(steps, start=1):
-            # the i-th East end against y = x, the i-th interior vertex of
-            # the image against y = n/(n+1) x, cross-multiplied
-            east_flag = py >= px
-            vertex_flag = y * (n + 1) > x * n
-            if east_flag != vertex_flag:
-                failures.add(
-                    "step_vertex_mismatch",
-                    n=n,
-                    k=k,
-                    input_word=path.word,
-                    east_index=east_index,
-                    east_weakly_above=east_flag,
-                    vertex_strictly_above=vertex_flag,
-                )
-            if y * (n + 1) == x * n:
-                failures.add(
-                    "vertex_on_diagonal",
-                    n=n,
-                    k=k,
-                    input_word=path.word,
-                    east_index=east_index,
-                    interior_vertex=[x, y],
-                )
-            tally[classify_d_counts(d_north, d_east)] += 1
-    return cases, failures, (n, tally)
-
-
 def _case_coverage(
     n_max: int, extras: list[tuple[int, dict[str, int]]], failures: FailureLog
 ) -> tuple[int, dict[str, Any]]:
@@ -449,33 +353,94 @@ def _case_coverage(
     return max(n_max - 1, 0), {"case_tallies": {str(n): tallies[n] for n in tallies}}
 
 
-def verify_per_step(n_max: int, workers: int | None = None) -> VerificationReport:
-    """East-step/interior-vertex diagonal equivalence at every East index.
-
-    For each index the sweep checks that the two diagonal comparisons agree
-    and that the interior vertex never lands exactly on the image diagonal.
-    One case per East index, plus one coverage case per n >= 2 confirming
-    that all three orderings of the preceding-D counts occur.  Order 0 has
-    neither, so ``n_max = 0`` raises ``ValueError``.
-    """
-    return _sweep("per-step", _per_step_unit, n_max, workers, _case_coverage)
-
-
-CHECKS: dict[str, Callable[..., VerificationReport]] = {
-    "roundtrip": verify_roundtrip,
-    "counts": verify_counts,
-    "subdiagonal": verify_subdiagonal,
-    "per-step": verify_per_step,
+# Each check's summary, in the order ``verify`` runs them.  Cases counted:
+# - roundtrip: one per word (inverse after forward) and one per vertex path
+#   (forward after inverse), so twice the family size summed over n.  Each
+#   image's rank in its (n, k) slice (``_SliceRank``) is marked in a
+#   bytearray.  A unit whose images are not the slice, each path once,
+#   records one ``image_set`` failure after its round trips:
+#   ``missing_from_image`` holds the ``(xs, ys)`` interior coordinates of the
+#   three lowest unhit ranks, ``unexpected_in_image`` the three smallest
+#   distinct ones outside the slice, both sorted.  A vertex enumerator that
+#   does not yield ranks 0, 1, 2, ... through the slice records one
+#   ``vertex_order`` before that.
+# - counts: one per (n, k) cell with 0 <= k <= n <= n_max; each cell compares
+#   the two closed forms with both enumerated counts, four exact integers.
+# - subdiagonal: one per word (subdiagonality transports through phi), plus
+#   two per n comparing each family's subdiagonal total to the Schroder
+#   number from the recurrence.
+# - per-step: one per East index, where the two diagonal comparisons must
+#   agree and the interior vertex must not land on the image diagonal, plus
+#   one coverage case per n >= 2 confirming that all three orderings of the
+#   preceding-D counts occur.  Order 0 has neither, so n_max = 0 raises
+#   ValueError.
+CHECKS: dict[str, Summary | None] = {
+    "roundtrip": None,
+    "counts": None,
+    "subdiagonal": _schroder_totals,
+    "per-step": _case_coverage,
 }
+
+
+def _sweep(names: list[str], n_max: int, workers: int | None) -> list[VerificationReport]:
+    """Run ``_unit`` once on every (n, k) unit with 0 <= k <= n <= n_max, in
+    that order, and fold each named check's unit results through its summary
+    into one report per name.
+
+    Every report carries the whole sweep's wall time as ``elapsed_ms``.
+    Raises ``ValueError`` for the first name whose case total is 0, such as
+    any name with a negative ``n_max``, since that report would check
+    nothing."""
+    start = time.perf_counter()
+    checks = tuple(dict.fromkeys(names))
+    unit_fn = partial(_unit, checks)
+    units = [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
+    processes = min(resolve_workers(workers), len(units), os.cpu_count() or 1)
+    if processes <= 1:
+        results = [unit_fn(u) for u in units]
+    else:
+        with multiprocessing.Pool(processes=processes) as pool:
+            results = pool.map(unit_fn, units, chunksize=1)
+    folded = []
+    for name in names:
+        column = checks.index(name)
+        cases = 0
+        failures = FailureLog()
+        for unit_cases, unit_failures, _ in (r[column] for r in results):
+            cases += unit_cases
+            failures.extend(unit_failures)
+        details: dict[str, Any] = {}
+        summarize = CHECKS[name]
+        if summarize is not None:
+            summary_cases, details = summarize(n_max, [r[column][2] for r in results], failures)
+            cases += summary_cases
+        if cases == 0:
+            raise ValueError(
+                f"the {name} check has no cases at n_max={n_max}; that sweep would check nothing"
+            )
+        folded.append((name, cases, failures, details))
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return [
+        VerificationReport(
+            check_name=name,
+            n_range=(0, n_max),
+            total_cases=cases,
+            failure_count=failures.count,
+            failures=failures.records,
+            elapsed_ms=elapsed_ms,
+            details=details,
+        )
+        for name, cases, failures, details in folded
+    ]
 
 
 def run_checks(
     names: Iterable[str], n_max: int = DEFAULT_N_MAX, workers: int | None = None
 ) -> list[VerificationReport]:
-    """Run the named checks in a fixed order and return their reports."""
-    reports = []
+    """Run the named checks in one sweep and return their reports in the
+    order asked; no names, no sweep."""
+    names = list(names)
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
-        reports.append(CHECKS[name](n_max, workers=workers))
-    return reports
+    return _sweep(names, n_max, workers) if names else []

@@ -17,11 +17,8 @@ from delannoy_kit import (
     enumerate_delannoy,
     enumerate_kimberling,
     sample_delannoy_stream,
+    run_checks,
     schroder,
-    verify_counts,
-    verify_per_step,
-    verify_roundtrip,
-    verify_subdiagonal,
 )
 from delannoy_kit.cli import run
 
@@ -61,7 +58,7 @@ def test_criterion_1_worked_example_fidelity(capsys):
 
 
 def test_criterion_2_bijection_exhaustive():
-    report = verify_roundtrip(8, workers=1)
+    report = run_checks(["roundtrip"], 8, workers=1)[0]
     assert report.failure_count == 0
     assert report.total_cases == 650_882  # includes the 531,458 top-size cases
     assert report.elapsed_ms < 30_000
@@ -71,7 +68,7 @@ def test_criterion_2_bijection_exhaustive():
 def test_criterion_3_refined_counts():
     assert count_delannoy_by_e(2, 1) == 6
     assert count_delannoy_by_e(8, 5) == 72_072
-    report = verify_counts(8, workers=1)
+    report = run_checks(["counts"], 8, workers=1)[0]
     assert report.failure_count == 0
     assert report.total_cases == 45  # one cell per (n, k), 0 <= k <= n <= 8
     _ok(3, "enumerated per-k counts equal the closed form for all n <= 8")
@@ -88,7 +85,7 @@ def test_criterion_4_smallest_family_golden():
 
 
 def test_criterion_5_subdiagonal_exhaustive():
-    report = verify_subdiagonal(8, workers=1)
+    report = run_checks(["subdiagonal"], 8, workers=1)[0]
     assert report.failure_count == 0
     assert [schroder(n) for n in range(9)] == SCHRODER_ROW
     for n in range(9):
@@ -98,7 +95,7 @@ def test_criterion_5_subdiagonal_exhaustive():
 
 
 def test_criterion_6_per_step_and_never_equals():
-    report = verify_per_step(7, workers=1)
+    report = run_checks(["per-step"], 7, workers=1)[0]
     assert report.failure_count == 0
     for n in range(2, 8):
         tally = report.details["case_tallies"][str(n)]

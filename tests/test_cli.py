@@ -412,15 +412,24 @@ class TestVerify:
         assert invoke(capsys, "verify", "--check", "bogus")[0] == 2
 
     @pytest.mark.parametrize(
-        "n_max, check",
-        [("-1", "all"), ("-1", "counts"), ("0", "all"), ("0", "per-step")],
+        "n_max, check, empty",
+        [
+            ("-1", "all", "roundtrip"),
+            ("-1", "counts", "counts"),
+            ("0", "all", "per-step"),
+            ("0", "per-step", "per-step"),
+        ],
         ids=["all", "counts", "zero-all", "zero-per-step"],
     )
-    def test_negative_n_max_checks_nothing_and_fails(self, capsys, n_max, check):
+    def test_negative_n_max_checks_nothing_and_fails(self, capsys, n_max, check, empty):
         code, out, err = invoke(capsys, "verify", "--n-max", n_max, "--check", check)
         assert code == 2
         assert "PASS" not in out
-        assert err.startswith("error: ") and "n_max" in err
+        # the first requested check with no cases names the error
+        assert err == (
+            f"error: the {empty} check has no cases at n_max={n_max}; "
+            "that sweep would check nothing\n"
+        )
 
 
 class TestRender:
@@ -513,10 +522,6 @@ class TestTopLevel:
             "sample_delannoy_stream",
             "schroder",
             "step_labels",
-            "verify_counts",
-            "verify_per_step",
-            "verify_roundtrip",
-            "verify_subdiagonal",
             "walk_east_steps",
         ]
 

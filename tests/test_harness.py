@@ -17,10 +17,6 @@ from delannoy_kit import (
     enumerate_delannoy_by_e,
     enumerate_kimberling_by_vertices,
     make_kimberling,
-    verify_counts,
-    verify_per_step,
-    verify_roundtrip,
-    verify_subdiagonal,
 )
 from delannoy_kit import harness
 from delannoy_kit.geometry import CASE_LABELS
@@ -28,9 +24,14 @@ from delannoy_kit.harness import FAILURE_CAP, resolve_workers, run_checks
 from delannoy_kit.lattice_core import _unchecked_vertices
 
 
+def _report(name, n_max, workers=None):
+    """The report of one check run alone."""
+    return run_checks([name], n_max, workers)[0]
+
+
 class TestVerifyRoundtrip:
     def test_order_one(self):
-        report = verify_roundtrip(1)
+        report = _report("roundtrip", 1)
         assert report.passed
         # 1 + 1 cases at n=0 plus the 3 + 3 top-size cases at n=1
         assert report.total_cases == 8
@@ -38,45 +39,45 @@ class TestVerifyRoundtrip:
         assert report.failures == []
 
     def test_order_zero(self):
-        report = verify_roundtrip(0)
+        report = _report("roundtrip", 0)
         assert report.passed
         assert report.total_cases == 2
 
     def test_total_cases_closed_form(self):
-        report = verify_roundtrip(4)
+        report = _report("roundtrip", 4)
         assert report.total_cases == 2 * sum(count_delannoy(n) for n in range(5))
         assert report.passed
 
 
 class TestVerifyCounts:
     def test_order_zero_single_cell(self):
-        report = verify_counts(0)
+        report = _report("counts", 0)
         assert report.passed
         assert report.total_cases == 1
 
     def test_cell_count_closed_form(self):
-        report = verify_counts(5)
+        report = _report("counts", 5)
         assert report.passed
         assert report.total_cases == sum(n + 1 for n in range(6))
 
 
 class TestVerifySubdiagonal:
     def test_small_sweep(self):
-        report = verify_subdiagonal(3)
+        report = _report("subdiagonal", 3)
         assert report.passed
         assert report.total_cases == sum(count_delannoy(n) + 2 for n in range(4))
         row = report.details["schroder"]
         assert row["3"] == {"oracle": 22, "delannoy": 22, "kimberling": 22}
 
     def test_order_zero(self):
-        report = verify_subdiagonal(0)
+        report = _report("subdiagonal", 0)
         assert report.passed
         assert report.details["schroder"]["0"]["oracle"] == 1
 
 
 class TestVerifyPerStep:
     def test_small_sweep(self):
-        report = verify_per_step(3)
+        report = _report("per-step", 3)
         assert report.passed
         east_indices = sum(
             k * count_delannoy_by_e(n, k) for n in range(4) for k in range(n + 1)
@@ -85,7 +86,7 @@ class TestVerifyPerStep:
         assert report.total_cases == east_indices + coverage_cases
 
     def test_all_case_classes_reported(self):
-        report = verify_per_step(3)
+        report = _report("per-step", 3)
         for n in (2, 3):
             tally = report.details["case_tallies"][str(n)]
             assert set(tally) == set(CASE_LABELS)
@@ -93,7 +94,7 @@ class TestVerifyPerStep:
 
     def test_order_one_has_single_class(self):
         # no D can separate the only N/E pair at order 1
-        report = verify_per_step(1)
+        report = _report("per-step", 1)
         assert report.passed
         tally = report.details["case_tallies"]["1"]
         assert tally["more_before_east"] == 0
@@ -102,22 +103,22 @@ class TestVerifyPerStep:
 
 class TestReportMechanics:
     def test_reports_deterministic(self):
-        first = verify_roundtrip(3)
-        second = verify_roundtrip(3)
+        first = _report("roundtrip", 3)
+        second = _report("roundtrip", 3)
         assert first.to_json_dict() | {"elapsed_ms": 0} == second.to_json_dict() | {
             "elapsed_ms": 0
         }
 
     def test_parallel_matches_serial(self):
-        serial = verify_subdiagonal(4, workers=1)
-        parallel = verify_subdiagonal(4, workers=2)
+        serial = _report("subdiagonal", 4, workers=1)
+        parallel = _report("subdiagonal", 4, workers=2)
         assert serial.total_cases == parallel.total_cases
         assert serial.failure_count == parallel.failure_count
         assert serial.failures == parallel.failures
         assert serial.details == parallel.details
 
     def test_json_dict_shape(self):
-        report = verify_counts(2)
+        report = _report("counts", 2)
         payload = report.to_json_dict()
         assert set(payload) == {
             "check_name", "n_range", "total_cases", "failure_count",
@@ -149,7 +150,7 @@ class TestFailureRecording:
 
         harness_phi = harness.phi
         monkeypatch.setattr(harness, "phi", corrupted_phi)
-        report = verify_roundtrip(3, workers=1)
+        report = _report("roundtrip", 3, workers=1)
         assert not report.passed
         assert report.failure_count > FAILURE_CAP
         assert len(report.failures) == FAILURE_CAP
@@ -158,7 +159,7 @@ class TestFailureRecording:
 
     def test_failures_never_abort_sweep(self, monkeypatch):
         monkeypatch.setattr(harness, "is_subdiagonal_delannoy", lambda path: True)
-        report = verify_subdiagonal(2, workers=1)
+        report = _report("subdiagonal", 2, workers=1)
         assert not report.passed
         # the sweep still produced the full case count and the Schroder table
         assert report.total_cases == sum(count_delannoy(n) + 2 for n in range(3))
@@ -211,9 +212,14 @@ class TestGoldenFailureRecords:
 
     Recorded before the four checks shared one driver: they pin key order,
     record order across units and summaries, the cap and the exact count.
+    Each test reads its report through ``report``.
     """
 
-    def test_roundtrip_with_bumped_phi(self, monkeypatch):
+    @staticmethod
+    def report(name, n_max, workers):
+        return _report(name, n_max, workers)
+
+    def test_roundtrip_with_bumped_phi(self, monkeypatch, workers=1):
         def bumped_phi(path):  # the corruption of TestFailureRecording
             image = original_phi(path)
             if len(image.vertices) > 2:
@@ -250,9 +256,9 @@ class TestGoldenFailureRecords:
             "passed": False,
             "details": {},
         }
-        assert _without_elapsed(verify_roundtrip(3, workers=1)) == json.dumps(expected)
+        assert _without_elapsed(self.report("roundtrip", 3, workers)) == json.dumps(expected)
 
-    def test_subdiagonal_with_forced_word_predicate(self, monkeypatch):
+    def test_subdiagonal_with_forced_word_predicate(self, monkeypatch, workers=1):
         monkeypatch.setattr(harness, "is_subdiagonal_delannoy", lambda path: True)
         expected = {
             "check_name": "subdiagonal",
@@ -282,11 +288,11 @@ class TestGoldenFailureRecords:
                 }
             },
         }
-        assert _without_elapsed(verify_subdiagonal(2, workers=1)) == json.dumps(expected)
+        assert _without_elapsed(self.report("subdiagonal", 2, workers)) == json.dumps(expected)
 
 
     # The corrupted runs below were recorded before the image check ranked
-    # the images: whole reports of verify_roundtrip(5), with 1 and 2 workers.
+    # the images: whole roundtrip reports at n_max = 5, with 1 and 2 workers.
     # Each corruption touches one word per (n, k) slice with k >= 1, the
     # last in enumeration order, N^k E^k D^(n-k), so every slice's
     # image_set record follows its two round-trip records.
@@ -324,7 +330,7 @@ class TestGoldenFailureRecords:
             "passed": False,
             "details": {},
         }
-        report = verify_roundtrip(5, workers=workers)
+        report = self.report("roundtrip", 5, workers)
         assert _without_elapsed(report) == json.dumps(expected)
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
@@ -357,10 +363,10 @@ class TestGoldenFailureRecords:
             "passed": False,
             "details": {},
         }
-        report = verify_roundtrip(5, workers=workers)
+        report = self.report("roundtrip", 5, workers)
         assert _without_elapsed(report) == json.dumps(expected)
 
-    # The corrupted per-step runs below are whole reports of verify_per_step(3),
+    # The corrupted per-step runs below are whole per-step reports at n_max = 3,
     # recorded while step_labels still returned a dataclass; of the patches,
     # only on_chord_labels depends on step_labels' return shape.
 
@@ -390,7 +396,7 @@ class TestGoldenFailureRecords:
             ],
             PER_STEP_TALLIES,
         )
-        report = verify_per_step(3, workers=workers)
+        report = self.report("per-step", 3, workers)
         assert _without_elapsed(report) == json.dumps(expected)
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
@@ -419,7 +425,7 @@ class TestGoldenFailureRecords:
             ],
             PER_STEP_TALLIES,
         )
-        report = verify_per_step(3, workers=workers)
+        report = self.report("per-step", 3, workers)
         assert _without_elapsed(report) == json.dumps(expected)
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
@@ -439,11 +445,79 @@ class TestGoldenFailureRecords:
                 "3": {"equal": 132, "more_before_east": 0, "more_before_north": 0},
             },
         )
-        report = verify_per_step(3, workers=workers)
+        report = self.report("per-step", 3, workers)
         assert _without_elapsed(report) == json.dumps(expected)
 
 
-# the case tallies of the uncorrupted verify_per_step(3)
+class TestGoldenFailureRecordsInAFusedRun(TestGoldenFailureRecords):
+    """The corrupted goldens above, each check's report taken from one
+    ``run_checks`` call of every check: no unit mixes records across checks."""
+
+    @staticmethod
+    def report(name, n_max, workers):
+        (report,) = [
+            r for r in run_checks(list(harness.CHECKS), n_max, workers) if r.check_name == name
+        ]
+        return report
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+    def test_roundtrip_with_bumped_phi(self, monkeypatch, workers):
+        super().test_roundtrip_with_bumped_phi(monkeypatch, workers)
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+    def test_subdiagonal_with_forced_word_predicate(self, monkeypatch, workers):
+        super().test_subdiagonal_with_forced_word_predicate(monkeypatch, workers)
+
+
+class TestOnePassPerUnit:
+    def test_each_family_is_enumerated_and_mapped_once(self, monkeypatch):
+        names = ["enumerate_delannoy_by_e", "enumerate_kimberling_by_vertices", "phi"]
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        run_checks(list(harness.CHECKS), n_max=3, workers=1)
+        # 10 (n, k) units; 80 words mapped once each, and 80 vertex paths
+        # mapped back through phi(phi_inverse(...))
+        assert calls == {
+            "enumerate_delannoy_by_e": 10,
+            "enumerate_kimberling_by_vertices": 10,
+            "phi": 160,
+        }
+
+    def test_no_names_start_no_sweep(self, monkeypatch):
+        monkeypatch.setattr(harness, "enumerate_delannoy_by_e", _no_enumeration)
+        assert run_checks([], n_max=3) == []
+
+    def test_unknown_name_raises_before_any_unit_runs(self, monkeypatch):
+        monkeypatch.setattr(harness, "enumerate_delannoy_by_e", _no_enumeration)
+        with pytest.raises(ValueError, match="unknown check 'bogus'"):
+            run_checks(["counts", "bogus"], n_max=3)
+
+    def test_repeated_name_gets_one_report_each(self):
+        first, second = run_checks(["counts", "counts"], n_max=3, workers=1)
+        assert first is not second
+        assert _without_elapsed(first) == _without_elapsed(second)
+        assert _without_elapsed(first) == _without_elapsed(_report("counts", 3, workers=1))
+
+    def test_every_report_of_one_call_carries_the_sweep_time(self):
+        reports = run_checks(list(harness.CHECKS), n_max=2, workers=1)
+        assert [r.check_name for r in reports] == list(harness.CHECKS)
+        assert len({r.elapsed_ms for r in reports}) == 1
+
+
+def _no_enumeration(n, k):
+    raise AssertionError("a unit ran")
+
+
+# the case tallies of the uncorrupted per-step report at n_max = 3
 PER_STEP_TALLIES = {
     "0": {"equal": 0, "more_before_east": 0, "more_before_north": 0},
     "1": {"equal": 2, "more_before_east": 0, "more_before_north": 0},
@@ -565,7 +639,7 @@ class TestRankedImageCheck:
             return image
 
         monkeypatch.setattr(harness, "phi", repeating_phi)
-        report = verify_roundtrip(4)
+        report = _report("roundtrip", 4)
         assert not report.passed
         image_sets = [f for f in report.failures if f["kind"] == "image_set"]
         assert image_sets == [_image_set(3, 2, [((1, 2), (0, 0))], [((1, 1), (0, 0))])]
@@ -577,7 +651,7 @@ class TestRankedImageCheck:
         recorded = 0
         for n in range(6):
             for k in range(n + 1):
-                _, failures, _ = harness._roundtrip_unit((n, k))
+                _, failures, _ = harness._unit(("roundtrip",), (n, k))[0]
                 image_sets = [f for f in failures.records if f["kind"] == "image_set"]
                 expected = _image_set_by_key_sets(n, k)
                 assert image_sets == ([expected] if expected else [])
@@ -592,7 +666,7 @@ class TestRankedImageCheck:
             "enumerate_delannoy_by_e",
             lambda n, k: list(enumerate_delannoy_by_e(n, k)) * 2,
         )
-        _, failures, _ = harness._roundtrip_unit((2, 1))
+        _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
         assert failures.records == [_image_set(2, 1, [], [])]
 
     @pytest.mark.parametrize(
@@ -610,17 +684,17 @@ class TestRankedImageCheck:
             "enumerate_kimberling_by_vertices",
             lambda i, j, k: corrupt(enumerate_kimberling_by_vertices(i, j, k)),
         )
-        _, failures, _ = harness._roundtrip_unit((2, 1))
+        _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
         assert failures.records == [
             {"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": enumerated}
         ]
 
     def test_unit_memory_is_under_64_bytes_per_path(self):
         unit = (6, 4)
-        harness._roundtrip_unit(unit)  # imports and caches outside the measurement
+        harness._unit(("roundtrip",), unit)  # imports and caches outside the measurement
         tracemalloc.start()
         try:
-            cases, failures, _ = harness._roundtrip_unit(unit)
+            cases, failures, _ = harness._unit(("roundtrip",), unit)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -645,7 +719,7 @@ harness_phi = harness.phi
 harness.phi = wrong_endpoint_phi
 multiprocessing.set_start_method("fork")
 try:
-    harness.verify_roundtrip(5, workers=2)
+    harness.run_checks(["roundtrip"], 5, workers=2)
 except BadEndpoint as exc:
     print(type(exc).__name__, exc.x == exc.y + 2)
 """
@@ -703,9 +777,10 @@ class TestWorkerResolution:
         monkeypatch.setattr(harness.multiprocessing, "Pool", SerialPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv(harness.ENV_THREADS, requested)
-        report = verify_counts(n_max)
+        report = _report("counts", n_max)
         assert started == [processes]
-        assert _without_elapsed(report) == _without_elapsed(verify_counts(n_max, workers=1))
+        serial = _report("counts", n_max, workers=1)
+        assert _without_elapsed(report) == _without_elapsed(serial)
 
     def test_single_worker_or_unit_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -714,9 +789,9 @@ class TestWorkerResolution:
         monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
         monkeypatch.setenv(harness.ENV_THREADS, "100000")
-        assert verify_counts(0).passed  # one unit
+        assert _report("counts", 0).passed  # one unit
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
-        assert verify_counts(3).passed  # unknown CPU count: one worker
+        assert _report("counts", 3).passed  # unknown CPU count: one worker
 
     def test_bad_values_rejected(self, monkeypatch):
         monkeypatch.setenv(harness.ENV_THREADS, "many")
