@@ -36,7 +36,6 @@ from .counting import (
     enumerate_delannoy_by_e,
     enumerate_kimberling,
     enumerate_kimberling_by_vertices,
-    sample_delannoy,
     sample_delannoy_stream,
     schroder,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "preceding_d_counts",
     "render_pair",
     "run_checks",
-    "sample_delannoy",
     "sample_delannoy_stream",
     "schroder",
     "step_labels",

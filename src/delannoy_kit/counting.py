@@ -228,18 +228,14 @@ def _sample_with_rng(n: int, rng: random.Random, bounds: list[int]) -> DelannoyP
     return DelannoyPath("".join(letters))
 
 
-def sample_delannoy(n: int, seed: int) -> DelannoyPath:
-    """One exactly-uniform draw from the central paths to (n, n).
-
-    Deterministic: the same seed always yields the same path, which is the
-    first path of ``sample_delannoy_stream(n, 1, seed)``.
-    """
-    return next(sample_delannoy_stream(n, 1, seed))
-
-
 def sample_delannoy_stream(n: int, count: int, seed: int) -> Iterator[DelannoyPath]:
-    """A reproducible stream of ``count`` independent uniform draws."""
-    _require_order(n, "sample_delannoy")
+    """A stream of ``count`` independent, exactly-uniform draws from the
+    central paths to (n, n).
+
+    Deterministic: the same seed always yields the same paths, and the
+    stream for a larger ``count`` extends the one for a smaller.
+    """
+    _require_order(n, "sample_delannoy")  # `sample --n -1`'s stderr names it; CLI bytes stay fixed
     rng = random.Random(seed)
     bounds = list(accumulate(_slice_terms(n, n)))
     for _ in range(count):

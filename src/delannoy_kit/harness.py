@@ -18,11 +18,7 @@ a sweep starts at most one worker per unit and per CPU, so a larger
 request is capped rather than passed to the pool.  Reports are
 deterministic either way, up to the elapsed field.
 
-The roundtrip check marks each image's lexicographic rank in its (n, k)
-slice in a bytearray, and the vertex enumerator must yield ranks 0, 1, 2,
-... in order.  An image whose table sum falls outside the slice has no
-rank.  The ``image_set`` record lists the interior coordinates of the
-lowest unhit ranks and of the smallest images outside the slice.
+The roundtrip check's rank-indexed image test is described with ``CHECKS``.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from math import comb
 from typing import Any, Callable, Iterable
 
@@ -140,15 +135,14 @@ def _vertex_list(kpath) -> list[list[int]]:
     return [list(v) for v in kpath.vertices]
 
 
-def _lex_subset(m: int, k: int, rank: int) -> list[int]:
-    """The k-subset of range(m), ascending, with this lexicographic rank."""
-    subset, c = [], 0
-    for left in range(k, 0, -1):
-        while rank >= (block := comb(m - 1 - c, left - 1)):  # the subsets with c next
-            rank, c = rank - block, c + 1
-        subset.append(c)
-        c += 1
-    return subset
+InteriorKey = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _smallest_keys(keys: list[InteriorKey], kpath) -> list[InteriorKey]:
+    """The three smallest distinct keys among ``keys`` and the path's interior
+    (x-coordinates, y-coordinates), sorted."""
+    key = tuple(zip(*kpath.interior)) or ((), ())
+    return keys if key in keys else sorted([*keys, key])[:3]
 
 
 class _SliceRank:
@@ -162,9 +156,9 @@ class _SliceRank:
     """
 
     def __init__(self, n: int, k: int) -> None:
-        self.n, self.k, self._y_count = n, k, comb(n + k, k)
-        self.size = comb(n, k) * self._y_count
-        terms = ({(x, y): -comb(n - x, k - t) * self._y_count - comb(n + k - 1 - y - t, k - t)
+        y_count = comb(n + k, k)
+        self.size = comb(n, k) * y_count
+        terms = ({(x, y): -comb(n - x, k - t) * y_count - comb(n + k - 1 - y - t, k - t)
                   for x in range(1, n + 1) for y in range(n + 1)} for t in range(k))
         self._tables = [{(0, 0): self.size - 1}, *terms, {(n + 1, n): 0}]
 
@@ -178,12 +172,6 @@ class _SliceRank:
         except KeyError:
             return None
         return rank if 0 <= rank < self.size else None
-
-    def key(self, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The interior (x-coordinates, y-coordinates) of the path with this rank."""
-        x_rank, y_rank = divmod(rank, self._y_count)
-        xs = tuple(c + 1 for c in _lex_subset(self.n, self.k, x_rank))
-        return xs, tuple(c - t for t, c in enumerate(_lex_subset(self.n + self.k, self.k, y_rank)))
 
 
 def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
@@ -201,7 +189,8 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     if roundtrip:
         ranks = _SliceRank(n, k)
         hits = bytearray(ranks.size)
-        unexpected: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        missing: list[InteriorKey] = []
+        unexpected: list[InteriorKey] = []
         in_order = True
 
     for path in enumerate_delannoy_by_e(n, k):
@@ -212,8 +201,8 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
             rank = ranks.rank(image)
             if rank is not None:
                 hits[rank] = 1
-            elif (key := tuple(zip(*image.interior)) or ((), ())) not in unexpected:
-                unexpected = sorted([*unexpected, key])[:3]
+            else:
+                unexpected = _smallest_keys(unexpected, image)
             back = phi_inverse(image)
             if back.word != path.word:
                 logs["roundtrip"].add(
@@ -243,7 +232,10 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
             steps = zip(ends, north, east, before_north, before_east, strict=True)
             for east_index, ((px, py), x, y, d_north, d_east) in enumerate(steps, start=1):
                 # the i-th East end against y = x, the i-th interior vertex of
-                # the image against y = n/(n+1) x, cross-multiplied
+                # the image against y = n/(n+1) x, cross-multiplied.  These are
+                # geometry.diagonal_comparisons' two tests, inlined: building its
+                # tuples and zipping them made a per-step check run alone about
+                # 30% slower at n <= 8, and the benchmark times per-step alone.
                 east_flag = py >= px
                 vertex_flag = y * (n + 1) > x * n
                 if east_flag != vertex_flag:
@@ -270,7 +262,10 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     if roundtrip or counts or subdiagonal:
         for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
             if roundtrip:
-                in_order = in_order and ranks.rank(kpath) == vertex_paths
+                rank = ranks.rank(kpath)
+                in_order = in_order and rank == vertex_paths
+                if rank is not None and not hits[rank]:
+                    missing = _smallest_keys(missing, kpath)
                 back_path = phi(phi_inverse(kpath))
                 if back_path != kpath:
                     logs["roundtrip"].add(
@@ -291,8 +286,6 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 "vertex_order", n=n, k=k, slice_size=ranks.size, enumerated=vertex_paths
             )
         if unexpected or words != ranks.size or 0 in hits:
-            unhit = (rank for rank, hit in enumerate(hits) if not hit)
-            missing = [ranks.key(rank) for rank in islice(unhit, 3)]
             logs["roundtrip"].add(
                 "image_set", n=n, k=k, missing_from_image=missing, unexpected_in_image=unexpected
             )
@@ -356,14 +349,16 @@ def _case_coverage(
 # Each check's summary, in the order ``verify`` runs them.  Cases counted:
 # - roundtrip: one per word (inverse after forward) and one per vertex path
 #   (forward after inverse), so twice the family size summed over n.  Each
-#   image's rank in its (n, k) slice (``_SliceRank``) is marked in a
-#   bytearray.  A unit whose images are not the slice, each path once,
-#   records one ``image_set`` failure after its round trips:
-#   ``missing_from_image`` holds the ``(xs, ys)`` interior coordinates of the
-#   three lowest unhit ranks, ``unexpected_in_image`` the three smallest
-#   distinct ones outside the slice, both sorted.  A vertex enumerator that
-#   does not yield ranks 0, 1, 2, ... through the slice records one
-#   ``vertex_order`` before that.
+#   image's lexicographic rank in its (n, k) slice (``_SliceRank``) is marked
+#   in a bytearray; an image outside the slice has no rank.  The vertex
+#   enumerator must yield ranks 0, 1, 2, ... in order, or the unit records
+#   one ``vertex_order`` failure.  A unit whose images are not the slice, each
+#   path once, then records one ``image_set`` failure: ``missing_from_image``
+#   names the three smallest enumerated vertex paths whose rank no image hit,
+#   ``unexpected_in_image`` the three smallest distinct images outside the
+#   slice, both as sorted ``(xs, ys)`` interior coordinates.  Ranks only map
+#   images into the slice; missing paths are named from the enumerated slice,
+#   so one the enumerator skips is reported by ``vertex_order`` alone.
 # - counts: one per (n, k) cell with 0 <= k <= n <= n_max; each cell compares
 #   the two closed forms with both enumerated counts, four exact integers.
 # - subdiagonal: one per word (subdiagonality transports through phi), plus

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from delannoy_kit import (
     enumerate_delannoy,
     phi,
-    sample_delannoy,
     sample_delannoy_stream,
     schroder,
 )
@@ -30,7 +29,7 @@ WORKED_DEBUG = (
     '"C":[2,6,7],"merged":["1A","1B","1B","2C","3A","4A","5A","5B","6C","7C",'
     '"7B","7B","8A"]}\n'
 )
-# ... and its SHA-256 on the image of sample_delannoy(512, 2024)
+# ... and its SHA-256 on the image of next(sample_delannoy_stream(512, 1, 2024))
 UNMAP_DEBUG_512_SHA256 = "6cb38fbfd348a95a0af5790370eda7c7e189f2c3c6c4877bad28d3a730a2da16"
 # stdout of ``classify`` from ``json.dumps(payload, indent=2)``, byte for byte
 CLASSIFY_EDN = (
@@ -48,7 +47,7 @@ CLASSIFY_EMPTY = (
     '  "subdiagonal_kimberling": true,\n  "image_vertices": [\n    [\n      0,\n      0\n'
     '    ],\n    [\n      1,\n      0\n    ]\n  ],\n  "east_steps": []\n}\n'
 )
-# ... and its SHA-256 on the word sample_delannoy(512, 2024)
+# ... and its SHA-256 on the word next(sample_delannoy_stream(512, 1, 2024))
 CLASSIFY_512_SHA256 = "ea32dbd3d3b14adfbfa3dfefd2c829282c27ba5360c0ed457f124bfc110dc2a3"
 # SHA-256 of the stdout of ``render --word NEEDNNNEDDEEN --labels``
 RENDER_LABELS_SHA256 = "4711e3d4cfffc7edb160235cff691bc75f04a3152b49929a92fbff4a767ac95d"
@@ -129,7 +128,7 @@ class TestMapUnmap:
         assert out == WORKED_DEBUG
 
     def test_unmap_debug_bytes_pinned_at_order_512(self, capsys):
-        image = phi(sample_delannoy(512, 2024))
+        image = phi(next(sample_delannoy_stream(512, 1, 2024)))
         vertices = json.dumps([list(v) for v in image.vertices])
         code, out, err = invoke(capsys, "unmap", vertices, "--debug")
         assert code == 0
@@ -356,7 +355,8 @@ class TestClassify:
         assert invoke(capsys, "classify", "--word", word) == (0, expected, "")
 
     def test_bytes_pinned_at_order_512(self, capsys):
-        code, out, err = invoke(capsys, "classify", "--word", sample_delannoy(512, 2024).word)
+        word = next(sample_delannoy_stream(512, 1, 2024)).word
+        code, out, err = invoke(capsys, "classify", "--word", word)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_512_SHA256
 
@@ -518,7 +518,6 @@ class TestTopLevel:
             "preceding_d_counts",
             "render_pair",
             "run_checks",
-            "sample_delannoy",
             "sample_delannoy_stream",
             "schroder",
             "step_labels",

@@ -12,7 +12,6 @@ from delannoy_kit import (
     enumerate_delannoy_by_e,
     enumerate_kimberling,
     enumerate_kimberling_by_vertices,
-    sample_delannoy,
     sample_delannoy_stream,
     schroder,
 )
@@ -23,7 +22,7 @@ CENTRAL_COUNTS = [1, 3, 13, 63, 321, 1683, 8989, 48639, 265729]
 # frozen from the subdiagonal filter over the same brute force (n <= 5)
 # and the recurrence beyond
 SCHRODER_ROW = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586]
-# sample_delannoy_stream(12, 5, seed=7) and sample_delannoy(200, 31)
+# sample_delannoy_stream(12, 5, seed=7) and next(sample_delannoy_stream(200, 1, 31))
 SAMPLE_12_SEED_7 = [
     "DEDDNEENENEDENNENENN",
     "NEENNNDNNDEENEENENENEE",
@@ -267,7 +266,8 @@ class TestEnumerateKimberling:
 
 class TestSampling:
     def test_deterministic_single_draw(self):
-        assert sample_delannoy(5, 12345).word == sample_delannoy(5, 12345).word
+        first, second = (next(sample_delannoy_stream(5, 1, 12345)) for _ in range(2))
+        assert first.word == second.word
 
     def test_deterministic_stream(self):
         first = [p.word for p in sample_delannoy_stream(4, 20, seed=99)]
@@ -275,22 +275,22 @@ class TestSampling:
         assert first == second
 
     def test_different_seeds_differ_somewhere(self):
-        words = {sample_delannoy(6, seed).word for seed in range(30)}
+        words = {next(sample_delannoy_stream(6, 1, seed)).word for seed in range(30)}
         assert len(words) > 1
 
     def test_order_zero(self):
-        assert sample_delannoy(0, 7).word == ""
+        assert next(sample_delannoy_stream(0, 1, 7)).word == ""
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="n >= 0"):
-            sample_delannoy(-1, 7)
+            next(sample_delannoy_stream(-1, 1, 7))
         with pytest.raises(ValueError, match="n >= 0"):
             list(sample_delannoy_stream(-1, 0, seed=7))
 
     def test_seed_to_path_stream_pinned(self):
         # recorded before the count moved out of the per-draw loop
         assert [p.word for p in sample_delannoy_stream(12, 5, seed=7)] == SAMPLE_12_SEED_7
-        assert sample_delannoy(200, 31).word == SAMPLE_200_SEED_31
+        assert next(sample_delannoy_stream(200, 1, 31)).word == SAMPLE_200_SEED_31
 
     def test_seed_to_path_stream_pinned_at_order_1024(self):
         words = "\n".join(p.word for p in sample_delannoy_stream(1024, 3, seed=5))

@@ -600,19 +600,19 @@ class TestRankedImageCheck:
             assert [ranks.rank(kpath) for kpath in slice_] == list(range(ranks.size))
 
     @given(st.data())
-    def test_unrank_after_rank_is_the_identity(self, data):
+    def test_rank_order_is_the_interior_key_order(self, data):
         n = data.draw(st.integers(0, 30), label="n")
         k = data.draw(st.integers(0, n), label="k")
-        xs = sorted(data.draw(st.permutations(range(1, n + 1)))[:k])
-        ys = sorted(data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k)))
         ranks = harness._SliceRank(n, k)
-        rank = ranks.rank(make_kimberling([(0, 0), *zip(xs, ys), (n + 1, n)]))
-        assert 0 <= rank < ranks.size
-        assert ranks.key(rank) == (tuple(xs), tuple(ys))
-        other = data.draw(st.integers(0, ranks.size - 1), label="other")
-        other_xs, other_ys = ranks.key(other)
-        path = make_kimberling([(0, 0), *zip(other_xs, other_ys), (n + 1, n)])
-        assert ranks.rank(path) == other
+        keyed = []
+        for _ in range(2):
+            xs = tuple(sorted(data.draw(st.permutations(range(1, n + 1)))[:k]))
+            ys = tuple(sorted(data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k))))
+            rank = ranks.rank(make_kimberling([(0, 0), *zip(xs, ys), (n + 1, n)]))
+            assert 0 <= rank < ranks.size
+            keyed.append(((xs, ys), rank))
+        (key_a, rank_a), (key_b, rank_b) = keyed
+        assert (key_a < key_b, key_a == key_b) == (rank_a < rank_b, rank_a == rank_b)
 
     @pytest.mark.parametrize(
         "vertices",
@@ -687,6 +687,55 @@ class TestRankedImageCheck:
         _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
         assert failures.records == [
             {"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": enumerated}
+        ]
+
+    @pytest.mark.parametrize(
+        "corrupt, tail",
+        [
+            (
+                lambda paths: list(paths)[:-1],
+                [
+                    {"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": 5},
+                    _image_set(2, 1, [], []),
+                ],
+            ),
+            (
+                lambda paths: reversed(list(paths)),
+                [
+                    {
+                        "kind": "forward_roundtrip", "n": 2, "k": 1,
+                        "input_vertices": [[0, 0], [2, 2], [3, 2]],
+                        "expected": [[0, 0], [2, 2], [3, 2]],
+                        "actual": [[0, 0], [1, 0], [3, 2]],
+                    },
+                    {"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": 6},
+                    _image_set(2, 1, [((2,), (2,))], []),
+                ],
+            ),
+        ],
+        ids=["short", "reversed"],
+    )
+    def test_missing_images_are_named_from_the_enumerated_slice(
+        self, monkeypatch, corrupt, tail
+    ):
+        # DNE's image, the slice's last path, is sent to the first one; a short
+        # enumerator never reaches the unhit path, so only vertex_order reports it
+        def first_for_last(path):
+            return UNPATCHED_PHI(DelannoyPath("END" if path.word == "DNE" else path.word))
+
+        monkeypatch.setattr(harness, "phi", first_for_last)
+        monkeypatch.setattr(
+            harness,
+            "enumerate_kimberling_by_vertices",
+            lambda i, j, k: corrupt(enumerate_kimberling_by_vertices(i, j, k)),
+        )
+        _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
+        assert failures.records == [
+            {
+                "kind": "inverse_roundtrip", "n": 2, "k": 1,
+                "input_word": "DNE", "expected": "DNE", "actual": "END",
+            },
+            *tail,
         ]
 
     def test_unit_memory_is_under_64_bytes_per_path(self):
