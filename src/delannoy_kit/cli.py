@@ -71,10 +71,6 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _vertex_json(kpath: KimberlingPath) -> str:
-    return _dump([list(v) for v in kpath.vertices])
-
-
 def _vertex_compact(kpath: KimberlingPath) -> str:
     return ";".join(f"({x},{y})" for x, y in kpath.vertices)
 
@@ -108,7 +104,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         north, east, diagonal = step_labels(path)
         image = _pair_labels(north, east, diagonal)
         payload = {
-            "vertices": [list(v) for v in image.vertices],
+            "vertices": image.vertices,
             "n": n,
             "k": k,
             "labels": {"north": north, "east": east, "diagonal": diagonal},
@@ -116,7 +112,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         print(_dump(payload))
     else:
         image = phi(path)
-        print(_vertex_compact(image) if args.compact else _vertex_json(image))
+        print(_vertex_compact(image) if args.compact else _dump(image.vertices))
     print(f"n={n} k={k}", file=sys.stderr)
     return 0
 
@@ -185,7 +181,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for kpath in kstream:
             if args.subdiagonal and not below_endpoint_chord(kpath):
                 continue
-            print(_vertex_compact(kpath) if args.compact else _vertex_json(kpath))
+            print(_vertex_compact(kpath) if args.compact else _dump(kpath.vertices))
     return 0
 
 

@@ -235,7 +235,7 @@ def sample_delannoy_stream(n: int, count: int, seed: int) -> Iterator[DelannoyPa
     Deterministic: the same seed always yields the same paths, and the
     stream for a larger ``count`` extends the one for a smaller.
     """
-    _require_order(n, "sample_delannoy")  # `sample --n -1`'s stderr names it; CLI bytes stay fixed
+    _require_order(n, "sample_delannoy_stream")
     rng = random.Random(seed)
     bounds = list(accumulate(_slice_terms(n, n)))
     for _ in range(count):

@@ -12,11 +12,12 @@ One ``run_checks`` call is one sweep: a single pass per unit enumerates
 each family's slice once and serves every check asked for, and every
 report of that call carries the sweep's wall time as ``elapsed_ms``.
 Units are independent, and their partial results merge by exact addition,
-so they may run across worker processes.  The DELANNOY_KIT_THREADS
-environment variable asks for a worker count (0 = one per CPU, unset = 1);
-a sweep starts at most one worker per unit and per CPU, so a larger
-request is capped rather than passed to the pool.  Reports are
-deterministic either way, up to the elapsed field.
+so they may run across worker processes: a check with a summary sums its
+unit tallies per order n, and its summary compares one order's sums at a
+time.  The DELANNOY_KIT_THREADS environment variable asks for a worker
+count (0 = one per CPU, unset = 1); a sweep starts at most one worker per
+unit and per CPU, so a larger request is capped rather than passed to the
+pool.  Reports are deterministic either way, up to the elapsed field.
 
 The roundtrip check's rank-indexed image test is described with ``CHECKS``.
 """
@@ -107,11 +108,11 @@ class FailureLog:
         self.records.extend(other.records[: FAILURE_CAP - len(self.records)])
 
 
-# A unit returns one (cases, failures, extra) per check; a summary folds one
-# check's extras into its own cases and report details, recording any
-# failures it finds.
-UnitResult = tuple[int, FailureLog, Any]
-Summary = Callable[[int, list[Any], FailureLog], tuple[int, dict[str, Any]]]
+# A unit returns one (cases, failures, counts) per check, counts being None
+# or the unit's tallies; a summary compares one order's summed counts with its
+# oracle, recording any failures, and returns its cases and details row.
+UnitResult = tuple[int, FailureLog, dict[str, int] | None]
+Summary = Callable[[int, dict[str, int], FailureLog], tuple[int, dict[str, Any]]]
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -176,7 +177,7 @@ class _SliceRank:
 
 def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     """One pass over the (n, k) slice of each family for every check in
-    ``names``; returns one (cases, failures, extra) per name, in order.
+    ``names``; returns one (cases, failures, counts) per name, in order.
 
     Each word is mapped with ``phi`` once, if roundtrip or subdiagonal is
     asked; the vertex slice is walked only if one of them or counts is."""
@@ -305,48 +306,38 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     results = {
         "roundtrip": (words + vertex_paths, None),
         "counts": (1, None),
-        "subdiagonal": (words, (n, subdiagonal_words, subdiagonal_vertex_paths)),
-        "per-step": (k * words, (n, tally)),
+        "subdiagonal": (
+            words, {"delannoy": subdiagonal_words, "kimberling": subdiagonal_vertex_paths}
+        ),
+        "per-step": (k * words, tally),
     }
     return [(results[name][0], logs[name], results[name][1]) for name in names]
 
 
 def _schroder_totals(
-    n_max: int, extras: list[tuple[int, int, int]], failures: FailureLog
+    n: int, totals: dict[str, int], failures: FailureLog
 ) -> tuple[int, dict[str, Any]]:
-    """Two cases per n: each family's subdiagonal total against the oracle."""
-    totals = {n: [0, 0] for n in range(n_max + 1)}
-    for n, words, vertex_paths in extras:
-        totals[n][0] += words
-        totals[n][1] += vertex_paths
-    schroder_row = {}
-    for n, (words, vertex_paths) in totals.items():
-        oracle = schroder(n)
-        schroder_row[str(n)] = {"oracle": oracle, "delannoy": words, "kimberling": vertex_paths}
-        for family, actual in (("delannoy", words), ("kimberling", vertex_paths)):
-            if actual != oracle:
-                failures.add(
-                    "subdiagonal_count", n=n, family=family, expected=oracle, actual=actual
-                )
-    return 2 * len(totals), {"schroder": schroder_row}
+    """Two cases: each family's subdiagonal total at order n against the oracle."""
+    oracle = schroder(n)
+    for family, actual in totals.items():
+        if actual != oracle:
+            failures.add("subdiagonal_count", n=n, family=family, expected=oracle, actual=actual)
+    return 2, {"oracle": oracle, **totals}
 
 
 def _case_coverage(
-    n_max: int, extras: list[tuple[int, dict[str, int]]], failures: FailureLog
+    n: int, tally: dict[str, int], failures: FailureLog
 ) -> tuple[int, dict[str, Any]]:
-    """One case per n >= 2: every ordering of the preceding-D counts occurs."""
-    tallies = {n: {label: 0 for label in CASE_LABELS} for n in range(n_max + 1)}
-    for n, tally in extras:
-        for label, value in tally.items():
-            tallies[n][label] += value
-    for n in range(2, n_max + 1):
-        missing = [label for label in CASE_LABELS if tallies[n][label] == 0]
-        if missing:
-            failures.add("case_class_missing", n=n, missing=missing)
-    return max(n_max - 1, 0), {"case_tallies": {str(n): tallies[n] for n in tallies}}
+    """One case at n >= 2: every ordering of the preceding-D counts occurs."""
+    missing = [label for label in CASE_LABELS if tally[label] == 0]
+    if missing and n >= 2:
+        failures.add("case_class_missing", n=n, missing=missing)
+    return int(n >= 2), tally
 
 
-# Each check's summary, in the order ``verify`` runs them.  Cases counted:
+# Each check's summary, in the order ``verify`` runs them: None, or the key of
+# its report details and the function that compares one order's summed unit
+# counts, as ``run_checks`` describes.  Cases counted:
 # - roundtrip: one per word (inverse after forward) and one per vertex path
 #   (forward after inverse), so twice the family size summed over n.  Each
 #   image's lexicographic rank in its (n, k) slice (``_SliceRank``) is marked
@@ -369,26 +360,35 @@ def _case_coverage(
 #   one coverage case per n >= 2 confirming that all three orderings of the
 #   preceding-D counts occur.  Order 0 has neither, so n_max = 0 raises
 #   ValueError.
-CHECKS: dict[str, Summary | None] = {
+CHECKS: dict[str, tuple[str, Summary] | None] = {
     "roundtrip": None,
     "counts": None,
-    "subdiagonal": _schroder_totals,
-    "per-step": _case_coverage,
+    "subdiagonal": ("schroder", _schroder_totals),
+    "per-step": ("case_tallies", _case_coverage),
 }
 
 
-def _sweep(names: list[str], n_max: int, workers: int | None) -> list[VerificationReport]:
-    """Run ``_unit`` once on every (n, k) unit with 0 <= k <= n <= n_max, in
-    that order, and fold each named check's unit results through its summary
-    into one report per name.
+def run_checks(
+    names: Iterable[str], n_max: int = DEFAULT_N_MAX, workers: int | None = None
+) -> list[VerificationReport]:
+    """Run the named checks in one sweep and return their reports in the
+    order asked; no names, no sweep.
 
+    ``_unit`` runs once on every (n, k) unit with 0 <= k <= n <= n_max, in
+    that order.  Each report folds its check's unit failures in unit order,
+    then calls its summary once per order n on that order's summed counts.
     Every report carries the whole sweep's wall time as ``elapsed_ms``.
-    Raises ``ValueError`` for the first name whose case total is 0, such as
-    any name with a negative ``n_max``, since that report would check
-    nothing."""
+    Raises ``ValueError`` for an unknown name, and for the first name whose
+    case total is 0, such as any name with a negative ``n_max``, since that
+    report would check nothing."""
+    names = tuple(names)
+    for name in names:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
+    if not names:
+        return []
     start = time.perf_counter()
-    checks = tuple(dict.fromkeys(names))
-    unit_fn = partial(_unit, checks)
+    unit_fn = partial(_unit, names)
     units = [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
     processes = min(resolve_workers(workers), len(units), os.cpu_count() or 1)
     if processes <= 1:
@@ -397,18 +397,25 @@ def _sweep(names: list[str], n_max: int, workers: int | None) -> list[Verificati
         with multiprocessing.Pool(processes=processes) as pool:
             results = pool.map(unit_fn, units, chunksize=1)
     folded = []
-    for name in names:
-        column = checks.index(name)
+    for column, name in enumerate(names):
         cases = 0
         failures = FailureLog()
-        for unit_cases, unit_failures, _ in (r[column] for r in results):
+        sums: dict[int, dict[str, int]] = {}
+        for (n, _), result in zip(units, results):
+            unit_cases, unit_failures, counts = result[column]
             cases += unit_cases
             failures.extend(unit_failures)
+            if counts is not None:
+                row = sums.setdefault(n, dict.fromkeys(counts, 0))
+                for key, value in counts.items():
+                    row[key] += value
         details: dict[str, Any] = {}
-        summarize = CHECKS[name]
-        if summarize is not None:
-            summary_cases, details = summarize(n_max, [r[column][2] for r in results], failures)
-            cases += summary_cases
+        if CHECKS[name] is not None:
+            key, summary = CHECKS[name]
+            rows = details[key] = {}
+            for n, order_sums in sums.items():
+                summary_cases, rows[str(n)] = summary(n, order_sums, failures)
+                cases += summary_cases
         if cases == 0:
             raise ValueError(
                 f"the {name} check has no cases at n_max={n_max}; that sweep would check nothing"
@@ -427,15 +434,3 @@ def _sweep(names: list[str], n_max: int, workers: int | None) -> list[Verificati
         )
         for name, cases, failures, details in folded
     ]
-
-
-def run_checks(
-    names: Iterable[str], n_max: int = DEFAULT_N_MAX, workers: int | None = None
-) -> list[VerificationReport]:
-    """Run the named checks in one sweep and return their reports in the
-    order asked; no names, no sweep."""
-    names = list(names)
-    for name in names:
-        if name not in CHECKS:
-            raise ValueError(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
-    return _sweep(names, n_max, workers) if names else []

@@ -282,9 +282,9 @@ class TestSampling:
         assert next(sample_delannoy_stream(0, 1, 7)).word == ""
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError, match="n >= 0"):
+        with pytest.raises(ValueError, match="sample_delannoy_stream requires n >= 0"):
             next(sample_delannoy_stream(-1, 1, 7))
-        with pytest.raises(ValueError, match="n >= 0"):
+        with pytest.raises(ValueError, match="sample_delannoy_stream requires n >= 0"):
             list(sample_delannoy_stream(-1, 0, seed=7))
 
     def test_seed_to_path_stream_pinned(self):

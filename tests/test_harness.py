@@ -290,6 +290,33 @@ class TestGoldenFailureRecords:
         }
         assert _without_elapsed(self.report("subdiagonal", 2, workers)) == json.dumps(expected)
 
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+    def test_subdiagonal_with_both_predicates_forced(self, monkeypatch, workers):
+        # no word disagrees with its image, so only the summary records fail
+        monkeypatch.setattr(harness, "is_subdiagonal_delannoy", lambda path: True)
+        monkeypatch.setattr(harness, "is_subdiagonal_kimberling", lambda kpath: True)
+        expected = {
+            "check_name": "subdiagonal",
+            "n_range": [0, 3],
+            "total_cases": 88,
+            "failure_count": 6,
+            "failures": [
+                {"kind": "subdiagonal_count", "n": n, "family": family,
+                 "expected": oracle, "actual": actual}
+                for n, oracle, actual in ((1, 2, 3), (2, 6, 13), (3, 22, 63))
+                for family in ("delannoy", "kimberling")
+            ],
+            "passed": False,
+            "details": {
+                "schroder": {
+                    "0": {"oracle": 1, "delannoy": 1, "kimberling": 1},
+                    "1": {"oracle": 2, "delannoy": 3, "kimberling": 3},
+                    "2": {"oracle": 6, "delannoy": 13, "kimberling": 13},
+                    "3": {"oracle": 22, "delannoy": 63, "kimberling": 63},
+                }
+            },
+        }
+        assert _without_elapsed(self.report("subdiagonal", 3, workers)) == json.dumps(expected)
 
     # The corrupted runs below were recorded before the image check ranked
     # the images: whole roundtrip reports at n_max = 5, with 1 and 2 workers.
@@ -501,11 +528,18 @@ class TestOnePassPerUnit:
         with pytest.raises(ValueError, match="unknown check 'bogus'"):
             run_checks(["counts", "bogus"], n_max=3)
 
-    def test_repeated_name_gets_one_report_each(self):
-        first, second = run_checks(["counts", "counts"], n_max=3, workers=1)
+    @pytest.mark.parametrize("name", list(harness.CHECKS))
+    def test_repeated_name_gets_one_report_each(self, name):
+        first, second = run_checks([name, name], n_max=3, workers=1)
         assert first is not second
         assert _without_elapsed(first) == _without_elapsed(second)
-        assert _without_elapsed(first) == _without_elapsed(_report("counts", 3, workers=1))
+        assert _without_elapsed(first) == _without_elapsed(_report(name, 3, workers=1))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_report_is_the_same_alone_and_fused(self, workers):
+        fused = run_checks(list(harness.CHECKS), n_max=4, workers=workers)
+        alone = [_report(name, 4, workers) for name in harness.CHECKS]
+        assert [_without_elapsed(r) for r in alone] == [_without_elapsed(r) for r in fused]
 
     def test_every_report_of_one_call_carries_the_sweep_time(self):
         reports = run_checks(list(harness.CHECKS), n_max=2, workers=1)
