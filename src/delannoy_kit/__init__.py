@@ -17,7 +17,6 @@ from .lattice_core import (
     NonIncreasingX,
     NotCentral,
     central_index,
-    make_kimberling,
     parse_step_word,
     path_vertices,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "inverse_parts",
     "is_subdiagonal_delannoy",
     "is_subdiagonal_kimberling",
-    "make_kimberling",
     "parse_step_word",
     "path_vertices",
     "phi",

@@ -42,7 +42,6 @@ from .lattice_core import (
     KimberlingPath,
     LatticeError,
     central_index,
-    make_kimberling,
     parse_step_word,
 )
 from .render import RenderSpec, render_pair
@@ -85,16 +84,14 @@ def parse_vertex_text(text: str) -> KimberlingPath:
             raise LatticeError(f"bad vertex JSON: {exc}") from None
         except RecursionError:
             raise LatticeError("bad vertex JSON: nested too deeply") from None
-        if not isinstance(data, list):
-            raise LatticeError("vertex JSON must be an array of [x, y] pairs")
-        return make_kimberling(data)
+        return KimberlingPath(data)
     pairs: list[tuple[int, int]] = []
     for chunk in stripped.split(";"):
         match = _COMPACT_PAIR_RE.fullmatch(chunk.strip())
         if not match:
             raise LatticeError(f"bad vertex {chunk.strip()!r}; expected (x,y)")
         pairs.append((int(match.group(1)), int(match.group(2))))
-    return make_kimberling(pairs)
+    return KimberlingPath(pairs)
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
@@ -363,7 +360,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except (LatticeError, ValueError) as exc:
+    except ValueError as exc:  # LatticeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,13 +15,15 @@ Two kinds of objects live here:
 
 Both types are immutable values; every operation in this module is pure.
 
-The public constructors validate everything they are given, and so do
-``parse_step_word`` and ``make_kimberling``, so every value built from
-outside the package is checked.  The enumerators, ``phi`` and
-``phi_inverse`` build values that are valid by construction through
-``_unchecked_word`` and ``_unchecked_vertices``, without re-running that
-check; each call site states the invariant it relies on.  Checked and
-unchecked values compare, hash and pickle alike.
+Each type's constructor owns every rule of its family and validates
+everything it is given, so every value built from outside the package is
+checked.  ``KimberlingPath`` accepts any iterable of integer pairs (lists
+and iterators included) and stores a tuple of tuples; ``parse_step_word``
+only upper-cases its text before ``DelannoyPath`` checks it.  The
+enumerators, ``phi`` and ``phi_inverse`` build values that are valid by
+construction through ``_unchecked_word`` and ``_unchecked_vertices``,
+without re-running that check; each call site states the invariant it
+relies on.  Checked and unchecked values compare, hash and pickle alike.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import copyreg
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 LatticePoint = tuple[int, int]
 
@@ -128,6 +129,9 @@ class DelannoyPath:
 class KimberlingPath:
     """A finite-nonnegative-slope path, stored as its full vertex sequence.
 
+    ``vertices`` may be any iterable of 2-element integer iterables, such
+    as a parsed JSON vertex array; it is stored as a tuple of pairs.  Every
+    entry's shape and type is checked before the origin and the steps.
     The degenerate single-vertex sequence ((0, 0),) is the unique path
     ending at the origin itself.
     """
@@ -135,7 +139,18 @@ class KimberlingPath:
     vertices: tuple[LatticePoint, ...]
 
     def __post_init__(self) -> None:
-        verts = self.vertices
+        verts: list[LatticePoint] = []
+        for entry in self.vertices:
+            try:
+                x, y = entry
+            except (TypeError, ValueError):
+                raise LatticeError(f"vertex {entry!r} is not a pair of integers") from None
+            # bool is an int subclass, but JSON's true/false are not coordinates
+            if (type(x) is not int or type(y) is not int) and not (
+                isinstance(x, int) and isinstance(y, int) and bool not in (type(x), type(y))
+            ):
+                raise LatticeError(f"vertex {entry!r} is not a pair of integers")
+            verts.append((x, y))
         if not verts or verts[0] != (0, 0):
             raise BadOrigin(verts[0] if verts else None)
         px, py = verts[0]
@@ -146,6 +161,7 @@ class KimberlingPath:
             if y < py:
                 raise DecreasingY(index)
             px, py = x, y
+        object.__setattr__(self, "vertices", tuple(verts))
 
     @property
     def endpoint(self) -> LatticePoint:
@@ -177,14 +193,14 @@ def parse_step_word(text: str) -> DelannoyPath:
     """Parse a step word; lowercase is accepted and canonicalized to uppercase.
 
     Raises ``InvalidCharacter`` (with 1-based position and the original
-    character) for anything outside the alphabet.
+    character) for anything outside the alphabet.  Only ``e n d E N D``
+    upper-case to a string that starts with E, N or D, so the first bad
+    character of ``text.upper()`` sits where the first bad one of ``text`` does.
     """
-    canonical = text.upper()
-    if not _WORD_RE.fullmatch(canonical):
-        for position, char in enumerate(text, start=1):
-            if char.upper() not in _ALPHABET:
-                raise InvalidCharacter(position, char)
-    return DelannoyPath(canonical)
+    try:
+        return DelannoyPath(text.upper())
+    except InvalidCharacter as exc:
+        raise InvalidCharacter(exc.position, text[exc.position - 1]) from None
 
 
 def path_vertices(path: DelannoyPath) -> tuple[LatticePoint, ...]:
@@ -208,30 +224,6 @@ def central_index(path: DelannoyPath) -> tuple[int, int]:
         raise NotCentral(e, north)
     # n = #E + #D, every letter that is not N
     return len(word) - north, e
-
-
-def make_kimberling(vertices: Iterable[Iterable[int]]) -> KimberlingPath:
-    """Validate and build a ``KimberlingPath`` from any iterable of point pairs.
-
-    Accepts lists, tuples, or any 2-element integer iterables (e.g. the
-    result of parsing a JSON vertex array) and normalizes them.  Any other
-    entry, a scalar included, raises ``LatticeError``.
-    """
-    normalized: list[LatticePoint] = []
-    for entry in vertices:
-        try:
-            x, y = entry
-        except (TypeError, ValueError):
-            raise LatticeError(f"vertex {entry!r} is not a pair of integers") from None
-        # bool is an int subclass, but JSON's true/false are not coordinates
-        if not ((type(x) is int and type(y) is int) or (_is_coordinate(x) and _is_coordinate(y))):
-            raise LatticeError(f"vertex {entry!r} is not a pair of integers")
-        normalized.append((x, y))
-    return KimberlingPath(tuple(normalized))
-
-
-def _is_coordinate(c: object) -> bool:
-    return isinstance(c, int) and not isinstance(c, bool)
 
 
 def _image_order(kpath: KimberlingPath) -> int:

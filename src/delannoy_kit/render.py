@@ -141,7 +141,7 @@ def render_pair(path: DelannoyPath, spec: RenderSpec = RenderSpec()) -> str:
     _draw_path(group, left, word_vertices, [small] * len(word_vertices))
     image = phi(path)
     radii = [small] + [big] * len(image.interior) + [small]
-    _draw_path(group, right, image.vertices, radii[: len(image.vertices)])
+    _draw_path(group, right, image.vertices, radii)
 
     if spec.label_steps:
         _draw_step_labels(group, left, path.word, word_vertices, font=cell * 0.35)

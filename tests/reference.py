@@ -7,12 +7,15 @@ The segment-sampling subdiagonal checks, which corroborate that testing
 vertices alone loses nothing between them.  And the validated A/B/C merge API, which the package no
 longer calls: ``merge_tagged`` runs the package's height scan on arbitrary
 inputs, ``bisect_merge_tagged`` is the interleave-and-insert merge it
-replaced.
+replaced.  And the parsers that checked outside input beside the path
+constructors: ``make_kimberling`` held the vertex pair rule, and
+``parse_step_word`` scanned the alphabet itself.
 """
 
 import json
 import math
 import random
+import re
 from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import accumulate
@@ -20,6 +23,8 @@ from itertools import accumulate
 from delannoy_kit import (
     BadEndpoint,
     DelannoyPath,
+    InvalidCharacter,
+    KimberlingPath,
     LatticeError,
     central_index,
     classify_d_counts,
@@ -27,7 +32,6 @@ from delannoy_kit import (
     diagonal_flags,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
-    parse_step_word,
     path_vertices,
     phi,
     walk_east_steps,
@@ -273,3 +277,45 @@ def classify_json(text):
         "east_steps": steps,
     }
     return json.dumps(payload, indent=2)
+
+
+_WORD_RE = re.compile(r"[END]*\Z")
+_ALPHABET = frozenset("END")
+
+
+def parse_step_word(text):
+    """Parse a step word; lowercase is accepted and canonicalized to uppercase.
+
+    Raises ``InvalidCharacter`` (with 1-based position and the original
+    character) for anything outside the alphabet.
+    """
+    canonical = text.upper()
+    if not _WORD_RE.fullmatch(canonical):
+        for position, char in enumerate(text, start=1):
+            if char.upper() not in _ALPHABET:
+                raise InvalidCharacter(position, char)
+    return DelannoyPath(canonical)
+
+
+def make_kimberling(vertices):
+    """Validate and build a ``KimberlingPath`` from any iterable of point pairs.
+
+    Accepts lists, tuples, or any 2-element integer iterables (e.g. the
+    result of parsing a JSON vertex array) and normalizes them.  Any other
+    entry, a scalar included, raises ``LatticeError``.
+    """
+    normalized = []
+    for entry in vertices:
+        try:
+            x, y = entry
+        except (TypeError, ValueError):
+            raise LatticeError(f"vertex {entry!r} is not a pair of integers") from None
+        # bool is an int subclass, but JSON's true/false are not coordinates
+        if not ((type(x) is int and type(y) is int) or (_is_coordinate(x) and _is_coordinate(y))):
+            raise LatticeError(f"vertex {entry!r} is not a pair of integers")
+        normalized.append((x, y))
+    return KimberlingPath(tuple(normalized))
+
+
+def _is_coordinate(c):
+    return isinstance(c, int) and not isinstance(c, bool)

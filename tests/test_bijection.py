@@ -5,13 +5,13 @@ from reference import OverlappingAC, merge_tagged, tagged_to_word
 
 from delannoy_kit import (
     BadEndpoint,
+    KimberlingPath,
     LatticeError,
     NotCentral,
     central_index,
     enumerate_delannoy,
     enumerate_kimberling,
     inverse_parts,
-    make_kimberling,
     parse_step_word,
     phi,
     phi_inverse,
@@ -169,26 +169,26 @@ class TestMergeTagged:
 
 class TestPhiInverse:
     def test_worked_example(self):
-        kpath = make_kimberling(list(WORKED_IMAGE))
+        kpath = KimberlingPath(list(WORKED_IMAGE))
         assert phi_inverse(kpath).word == WORKED_WORD
 
     def test_smallest(self):
-        assert phi_inverse(make_kimberling([(0, 0), (1, 0)])).word == ""
+        assert phi_inverse(KimberlingPath([(0, 0), (1, 0)])).word == ""
 
     def test_single_interior(self):
-        assert phi_inverse(make_kimberling([(0, 0), (1, 1), (2, 1)])).word == "NE"
+        assert phi_inverse(KimberlingPath([(0, 0), (1, 1), (2, 1)])).word == "NE"
 
     def test_bad_endpoint(self):
         with pytest.raises(BadEndpoint) as exc:
-            phi_inverse(make_kimberling([(0, 0), (2, 2)]))
+            phi_inverse(KimberlingPath([(0, 0), (2, 2)]))
         assert (exc.value.x, exc.value.y) == (2, 2)
 
     def test_degenerate_origin_rejected(self):
         with pytest.raises(BadEndpoint):
-            phi_inverse(make_kimberling([(0, 0)]))
+            phi_inverse(KimberlingPath([(0, 0)]))
 
     def test_inverse_parts_worked_example(self):
-        a, b, c, merged = inverse_parts(make_kimberling(list(WORKED_IMAGE)))
+        a, b, c, merged = inverse_parts(KimberlingPath(list(WORKED_IMAGE)))
         assert a == [1, 3, 4, 5, 8]
         assert b == [1, 1, 5, 7, 7]
         assert c == [2, 6, 7]

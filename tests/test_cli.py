@@ -525,7 +525,6 @@ class TestTopLevel:
             "inverse_parts",
             "is_subdiagonal_delannoy",
             "is_subdiagonal_kimberling",
-            "make_kimberling",
             "parse_step_word",
             "path_vertices",
             "phi",

@@ -2,6 +2,7 @@ import pytest
 
 from delannoy_kit import (
     BadEndpoint,
+    KimberlingPath,
     NotCentral,
     below_endpoint_chord,
     classify_d_counts,
@@ -10,7 +11,6 @@ from delannoy_kit import (
     enumerate_kimberling,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
-    make_kimberling,
     parse_step_word,
     phi,
     preceding_d_counts,
@@ -45,20 +45,20 @@ class TestSubdiagonalDelannoy:
 
 class TestSubdiagonalKimberling:
     def test_image_of_en(self):
-        assert is_subdiagonal_kimberling(make_kimberling([(0, 0), (1, 0), (2, 1)]))
+        assert is_subdiagonal_kimberling(KimberlingPath([(0, 0), (1, 0), (2, 1)]))
 
     def test_image_of_ne(self):
-        assert not is_subdiagonal_kimberling(make_kimberling([(0, 0), (1, 1), (2, 1)]))
+        assert not is_subdiagonal_kimberling(KimberlingPath([(0, 0), (1, 1), (2, 1)]))
 
     @pytest.mark.parametrize("n", range(7))
     def test_direct_path_on_the_line(self, n):
-        assert is_subdiagonal_kimberling(make_kimberling([(0, 0), (n + 1, n)]))
+        assert is_subdiagonal_kimberling(KimberlingPath([(0, 0), (n + 1, n)]))
 
     def test_bad_endpoint(self):
         with pytest.raises(BadEndpoint):
-            is_subdiagonal_kimberling(make_kimberling([(0, 0), (3, 3)]))
+            is_subdiagonal_kimberling(KimberlingPath([(0, 0), (3, 3)]))
         with pytest.raises(BadEndpoint):
-            is_subdiagonal_kimberling(make_kimberling([(0, 0)]))
+            is_subdiagonal_kimberling(KimberlingPath([(0, 0)]))
 
     @pytest.mark.parametrize("n", range(5))
     def test_generic_chord_agrees_on_this_family(self, n):
@@ -66,9 +66,9 @@ class TestSubdiagonalKimberling:
             assert below_endpoint_chord(kpath) == is_subdiagonal_kimberling(kpath)
 
     def test_generic_chord_on_other_endpoints(self):
-        assert below_endpoint_chord(make_kimberling([(0, 0), (1, 1), (3, 3)]))
-        assert not below_endpoint_chord(make_kimberling([(0, 0), (1, 2), (3, 3)]))
-        assert below_endpoint_chord(make_kimberling([(0, 0)]))
+        assert below_endpoint_chord(KimberlingPath([(0, 0), (1, 1), (3, 3)]))
+        assert not below_endpoint_chord(KimberlingPath([(0, 0), (1, 2), (3, 3)]))
+        assert below_endpoint_chord(KimberlingPath([(0, 0)]))
 
 
 # (before_north, before_east) D counts of each East index, by hand

@@ -11,12 +11,12 @@ from hypothesis import given, strategies as st
 
 from delannoy_kit import (
     DelannoyPath,
+    KimberlingPath,
     count_delannoy,
     count_delannoy_by_e,
     count_kimberling_by_vertices,
     enumerate_delannoy_by_e,
     enumerate_kimberling_by_vertices,
-    make_kimberling,
 )
 from delannoy_kit import harness
 from delannoy_kit.geometry import CASE_LABELS
@@ -143,7 +143,7 @@ class TestFailureRecording:
                 x, y = image.vertices[1]
                 bumped = ((0, 0), (x, max(0, y - 1))) + image.vertices[2:]
                 try:
-                    return make_kimberling(bumped)
+                    return KimberlingPath(bumped)
                 except Exception:
                     return image
             return image
@@ -226,7 +226,7 @@ class TestGoldenFailureRecords:
                 x, y = image.vertices[1]
                 bumped = ((0, 0), (x, max(0, y - 1))) + image.vertices[2:]
                 try:
-                    return make_kimberling(bumped)
+                    return KimberlingPath(bumped)
                 except Exception:
                     return image
             return image
@@ -365,7 +365,7 @@ class TestGoldenFailureRecords:
         def dropping_phi(path):  # drops the last interior vertex
             image = original_phi(path)
             if _last_in_slice(path.word):
-                return make_kimberling(image.vertices[:-2] + image.vertices[-1:])
+                return KimberlingPath(image.vertices[:-2] + image.vertices[-1:])
             return image
 
         original_phi = harness.phi
@@ -617,7 +617,7 @@ def _collide_ne(path):  # words ending NE share the image of the word ending EN
 def _drop_after_n(path):  # words starting with N lose their last interior vertex
     image = UNPATCHED_PHI(path)
     if path.word.startswith("N") and len(image.vertices) > 2:
-        return make_kimberling(image.vertices[:-2] + image.vertices[-1:])
+        return KimberlingPath(image.vertices[:-2] + image.vertices[-1:])
     return image
 
 
@@ -642,7 +642,7 @@ class TestRankedImageCheck:
         for _ in range(2):
             xs = tuple(sorted(data.draw(st.permutations(range(1, n + 1)))[:k]))
             ys = tuple(sorted(data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k))))
-            rank = ranks.rank(make_kimberling([(0, 0), *zip(xs, ys), (n + 1, n)]))
+            rank = ranks.rank(KimberlingPath([(0, 0), *zip(xs, ys), (n + 1, n)]))
             assert 0 <= rank < ranks.size
             keyed.append(((xs, ys), rank))
         (key_a, rank_a), (key_b, rank_b) = keyed
@@ -791,12 +791,12 @@ class TestWorkerErrors:
         # caller; when it could not be unpickled, pool.map never returned
         script = """
 import multiprocessing
-from delannoy_kit import BadEndpoint, harness, make_kimberling
+from delannoy_kit import BadEndpoint, KimberlingPath, harness
 
 def wrong_endpoint_phi(path):
     image = harness_phi(path)
     n = image.endpoint[1]
-    return make_kimberling(image.vertices[:-1] + ((n + 2, n),))
+    return KimberlingPath(image.vertices[:-1] + ((n + 2, n),))
 
 harness_phi = harness.phi
 harness.phi = wrong_endpoint_phi

@@ -18,7 +18,6 @@ from delannoy_kit import (
     enumerate_delannoy_by_e,
     enumerate_kimberling,
     enumerate_kimberling_by_vertices,
-    make_kimberling,
     parse_step_word,
     path_vertices,
     phi,
@@ -72,6 +71,18 @@ class TestParseStepWord:
     def test_constructor_requires_canonical_uppercase(self):
         with pytest.raises(InvalidCharacter):
             DelannoyPath("ne")
+
+    def test_only_end_letters_upper_case_into_the_alphabet(self):
+        # parse_step_word reports DelannoyPath's position in text.upper()
+        # against text: that holds while no other code point upper-cases to
+        # a string starting with E, N or D, and none upper-cases to ""
+        strays = []
+        for code in range(0x110000):
+            char = chr(code)
+            upper = char.upper()
+            if not upper or (upper[0] in "END") != (char in "endEND"):
+                strays.append(char)
+        assert strays == []
 
     @given(st.text(alphabet="ENDend", max_size=30))
     def test_parse_format_roundtrip(self, text):
@@ -130,56 +141,56 @@ def reference_valid(vertices):
 
 
 class TestMakeKimberling:
+    """``KimberlingPath(...)`` on the vertex sequences a caller might pass."""
+
     def test_simple_valid_path(self):
-        path = make_kimberling([(0, 0), (1, 1), (2, 1)])
+        path = KimberlingPath([(0, 0), (1, 1), (2, 1)])
         assert path.vertices == ((0, 0), (1, 1), (2, 1))
 
     def test_two_vertex_path(self):
-        assert make_kimberling([(0, 0), (2, 1)]).interior == ()
+        assert KimberlingPath([(0, 0), (2, 1)]).interior == ()
 
     def test_vertical_step_rejected(self):
         with pytest.raises(NonIncreasingX) as exc:
-            make_kimberling([(0, 0), (1, 1), (1, 2)])
+            KimberlingPath([(0, 0), (1, 1), (1, 2)])
         assert exc.value.index == 2
 
     def test_decreasing_y_rejected(self):
         with pytest.raises(DecreasingY) as exc:
-            make_kimberling([(0, 0), (1, 1), (2, 0)])
+            KimberlingPath([(0, 0), (1, 1), (2, 0)])
         assert exc.value.index == 2
 
     def test_bad_origin(self):
         with pytest.raises(BadOrigin):
-            make_kimberling([(1, 0), (2, 1)])
+            KimberlingPath([(1, 0), (2, 1)])
         with pytest.raises(BadOrigin):
-            make_kimberling([])
+            KimberlingPath([])
 
     def test_degenerate_origin_path_admitted(self):
-        path = make_kimberling([(0, 0)])
+        path = KimberlingPath([(0, 0)])
         assert path.endpoint == (0, 0)
         assert path.interior == ()
 
     def test_accepts_json_style_lists(self):
-        path = make_kimberling([[0, 0], [1, 1], [3, 1]])
+        path = KimberlingPath([[0, 0], [1, 1], [3, 1]])
         assert path.vertices == ((0, 0), (1, 1), (3, 1))
 
     def test_accepts_iterators_and_int_subclasses(self):
         class Coordinate(int):  # any int subclass but bool is a coordinate
             pass
 
-        path = make_kimberling([[0, 0], iter([1, 1]), (Coordinate(3), 1)])
+        path = KimberlingPath(iter([[0, 0], iter([1, 1]), (Coordinate(3), 1)]))
         assert path.vertices == ((0, 0), (1, 1), (3, 1))
 
     def test_rejects_non_integer_coordinates(self):
-        with pytest.raises(LatticeError):
-            make_kimberling([(0, 0), (1.5, 1)])
-        with pytest.raises(LatticeError):
-            make_kimberling([(0, 0), (1, 1, 2)])
-        with pytest.raises(LatticeError, match="not a pair of integers"):
-            make_kimberling([(0, 0), (1, False), (2, True)])
+        # each entry sits in an otherwise valid path
+        for entry in [(1.5, 0.5), (True, 0), (1, False), (1, 0, 5), (1,), 5]:
+            with pytest.raises(LatticeError, match=r"is not a pair of integers\Z"):
+                KimberlingPath(((0, 0), entry, (3, 2)))
 
     def test_collinear_interior_vertices_are_significant(self):
-        direct = make_kimberling([(0, 0), (2, 2)])
-        subdivided = make_kimberling([(0, 0), (1, 1), (2, 2)])
+        direct = KimberlingPath([(0, 0), (2, 2)])
+        subdivided = KimberlingPath([(0, 0), (1, 1), (2, 2)])
         assert direct != subdivided
         assert len({direct, subdivided}) == 2
 
@@ -193,24 +204,24 @@ class TestMakeKimberling:
     def test_accepts_exactly_the_valid_sequences(self, tail):
         candidate = [(0, 0)] + tail
         if reference_valid(candidate):
-            assert make_kimberling(candidate).vertices == tuple(candidate)
+            assert KimberlingPath(candidate).vertices == tuple(candidate)
         else:
             with pytest.raises(LatticeError):
-                make_kimberling(candidate)
+                KimberlingPath(candidate)
 
 
 class TestInteriorVertices:
     def test_worked_example_interiors(self):
-        path = make_kimberling(
+        path = KimberlingPath(
             [(0, 0), (1, 1), (3, 1), (4, 5), (5, 7), (8, 7), (9, 8)]
         )
         assert path.interior == ((1, 1), (3, 1), (4, 5), (5, 7), (8, 7))
 
     def test_two_vertex_path_has_none(self):
-        assert make_kimberling([(0, 0), (2, 1)]).interior == ()
+        assert KimberlingPath([(0, 0), (2, 1)]).interior == ()
 
     def test_single_interior_vertex(self):
-        assert make_kimberling([(0, 0), (1, 0), (2, 1)]).interior == ((1, 0),)
+        assert KimberlingPath([(0, 0), (1, 0), (2, 1)]).interior == ((1, 0),)
 
 
 class TestFamilyInvariants:

@@ -1,8 +1,8 @@
 """The Algorithm L enumerator, the height-scan inverse, the
-ratio-updated sampler and the templated ``classify`` output against the
-implementations they replaced, kept in ``reference.py``; the height scan as
-an A/B/C merge against the bisect merge; and the sampled paths beyond the
-exhaustive range."""
+ratio-updated sampler, the templated ``classify`` output and the path
+constructors' own input checks against the implementations they replaced,
+kept in ``reference.py``; the height scan as an A/B/C merge against the
+bisect merge; and the sampled paths beyond the exhaustive range."""
 
 import contextlib
 import io
@@ -10,11 +10,12 @@ import json
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import reference
 from delannoy_kit import (
     DelannoyPath,
+    KimberlingPath,
     LatticeError,
     diagonal_flags,
     enumerate_delannoy,
@@ -24,6 +25,7 @@ from delannoy_kit import (
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
     phi,
+    parse_step_word,
     phi_inverse,
     sample_delannoy_stream,
 )
@@ -54,11 +56,13 @@ def test_inverse_matches_merge_reference_on_every_vertex_path(n):
         assert all(type(t) is tuple for t in parts[3])
 
 
-def _outcome(merge, a, b, c):
+def _outcome(fn, *args):
+    """The value ``fn(*args)`` returns, or the type, message and fields of
+    the ``LatticeError`` it raises."""
     try:
-        return merge(a, b, c)
+        return fn(*args)
     except LatticeError as exc:
-        return type(exc), str(exc)
+        return type(exc), exc.args, vars(exc)
 
 
 @given(
@@ -109,6 +113,43 @@ def test_classify_matches_json_dumps_reference(data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert run(["classify", "--word", word]) == 0
     assert (out.getvalue(), err.getvalue()) == (reference.classify_json(word) + "\n", "")
+
+
+_COORDINATE = st.one_of(
+    st.integers(-1, 4), st.booleans(), st.floats(-1, 4, allow_nan=False), st.just("1")
+)
+_VERTEX_ENTRY = st.one_of(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
+    st.lists(st.integers(-1, 4), min_size=2, max_size=2),
+    st.tuples(_COORDINATE, _COORDINATE),
+    st.lists(_COORDINATE, max_size=3),
+    _COORDINATE,
+)
+
+
+@given(
+    st.one_of(
+        st.lists(_VERTEX_ENTRY, max_size=6),
+        st.lists(_VERTEX_ENTRY, max_size=5).map(lambda tail: [[0, 0], *tail]),
+    )
+)
+@example([[1, 0], [2, True]])
+@example([[0, 0], [1, 1, 1], [0, 2]])
+@example([[0, 0], [2, 1], [1, 1.5]])
+@example([(1, 0), 5])
+def test_kimberling_constructor_matches_make_kimberling_reference(vertices):
+    built = _outcome(KimberlingPath, vertices)
+    assert built == _outcome(reference.make_kimberling, vertices)
+    if isinstance(built, KimberlingPath):
+        assert all(type(vertex) is tuple for vertex in built.vertices)
+
+
+@given(st.text(st.one_of(st.sampled_from("endEND"), st.characters()), max_size=12))
+@example("ßE")
+@example("eNﬀd")
+@example("dİ")
+def test_parse_step_word_matches_alphabet_scan_reference(text):
+    assert _outcome(parse_step_word, text) == _outcome(reference.parse_step_word, text)
 
 
 @given(n=st.integers(0, 80), count=st.integers(0, 5), seed=st.integers())
