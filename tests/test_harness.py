@@ -24,6 +24,9 @@ from delannoy_kit.harness import FAILURE_CAP, resolve_workers, run_checks
 from delannoy_kit.lattice_core import _unchecked_vertices
 
 
+GOLDEN_N6 = Path(__file__).with_name("golden_verify_n6.json")
+
+
 def _report(name, n_max, workers=None):
     """The report of one check run alone."""
     return run_checks([name], n_max, workers)[0]
@@ -125,6 +128,16 @@ class TestReportMechanics:
             "failures", "elapsed_ms", "passed", "details",
         }
         json.dumps(payload)
+
+    def test_fused_serial_sweep_matches_the_golden_report(self):
+        # verify --n-max 6 --json minus elapsed_ms, recorded before the vertex
+        # pass began skipping the roundtrips that the word pass implies
+        reports = run_checks(list(harness.CHECKS), 6, workers=1)
+        payload = {
+            "passed": all(r.passed for r in reports),
+            "reports": [json.loads(_without_elapsed(r)) for r in reports],
+        }
+        assert json.dumps(payload, indent=2) + "\n" == GOLDEN_N6.read_text(encoding="utf-8")
 
     def test_run_checks_order_and_names(self):
         reports = run_checks(["counts", "roundtrip"], n_max=1)
