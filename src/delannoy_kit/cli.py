@@ -85,6 +85,20 @@ def parse_vertex_text(text: str) -> KimberlingPath:
         except RecursionError:
             raise LatticeError("bad vertex JSON: nested too deeply") from None
         return KimberlingPath(data)
+    if stripped.startswith("(") and stripped.endswith(")"):
+        # With no space around its ";", the compact form is a JSON array of
+        # pairs once its "(", ";" and ")" read "[", "," and "]".  A decoded
+        # list of L integer pairs has L + 1 brackets of each kind, so L - 1
+        # semicolons leave none to the text itself: it was compact, and its
+        # pairs are the ones the loop below reads.  Any other text, a bad one
+        # included, takes that loop and gets its errors.
+        try:
+            kpath = KimberlingPath(json.loads("[[" + stripped[1:-1].replace(");(", "],[") + "]]"))
+        except (ValueError, RecursionError):  # LatticeError included
+            pass
+        else:
+            if stripped.count(";") == len(kpath) - 1:
+                return kpath
     pairs: list[tuple[int, int]] = []
     for chunk in stripped.split(";"):
         match = _COMPACT_PAIR_RE.fullmatch(chunk.strip())

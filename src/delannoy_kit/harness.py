@@ -164,15 +164,27 @@ class _SliceRank:
         self._tables = [{(0, 0): self.size - 1}, *terms, {(n + 1, n): 0}]
 
     def rank(self, kpath) -> int | None:
-        """The path's rank; None unless it has one vertex per table, each a key of
-        it, and the sum lies in range(size), as it may not for a non-monotone path."""
-        if len(kpath.vertices) != len(self._tables):
+        """The path's rank, or None unless the path is a member of the slice.
+
+        A member has one vertex per table, each a key of it, with x rising
+        strictly and y weakly from vertex to vertex; its sum lies in
+        range(size), and no two members share one.  The step test makes a
+        rank imply membership, which lets the vertex pass skip the roundtrips
+        the word pass implies (see ``CHECKS``).  Without it, the non-monotone
+        ((0, 0), (1, 1), (2, 0), (4, 3)) would get rank 3 in the (3, 2) slice.
+        """
+        vertices = kpath.vertices
+        if len(vertices) != len(self._tables):
             return None
+        px, py = -1, 0  # a plain loop: any() over vertex pairs took 3x as long
+        for x, y in vertices:
+            if x <= px or y < py:
+                return None
+            px, py = x, y
         try:
-            rank = sum(map(dict.__getitem__, self._tables, kpath.vertices))
+            return sum(map(dict.__getitem__, self._tables, vertices))
         except KeyError:
             return None
-        return rank if 0 <= rank < self.size else None
 
 
 def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
@@ -180,15 +192,19 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     ``names``; returns one (cases, failures, counts) per name, in order.
 
     Each word is mapped with ``phi`` once, if roundtrip or subdiagonal is
-    asked; the vertex slice is walked only if one of them or counts is."""
+    asked; the vertex slice is walked only if one of them or counts is.  A
+    vertex path whose roundtrip the word pass implies is not mapped at all
+    (see ``CHECKS``)."""
     n, k = unit
     roundtrip, counts = "roundtrip" in names, "counts" in names
     subdiagonal, per_step = "subdiagonal" in names, "per-step" in names
     logs = {name: FailureLog() for name in CHECKS}
     words = vertex_paths = subdiagonal_words = subdiagonal_vertex_paths = 0
+    image_flag = False  # stays False unless subdiagonal is asked
     tally = {label: 0 for label in CASE_LABELS}
     if roundtrip:
         ranks = _SliceRank(n, k)
+        # 0 for an unhit rank, else 1 + the subdiagonal flag of its image
         hits = bytearray(ranks.size)
         missing: list[InteriorKey] = []
         unexpected: list[InteriorKey] = []
@@ -198,10 +214,23 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
         words += 1
         if roundtrip or subdiagonal:
             image = phi(path)
+        if subdiagonal:
+            word_flag = is_subdiagonal_delannoy(path)
+            image_flag = is_subdiagonal_kimberling(image)
+            subdiagonal_words += word_flag
+            if word_flag != image_flag:
+                logs["subdiagonal"].add(
+                    "subdiagonal_transport",
+                    n=n,
+                    k=k,
+                    input_word=path.word,
+                    delannoy_subdiagonal=word_flag,
+                    kimberling_subdiagonal=image_flag,
+                )
         if roundtrip:
             rank = ranks.rank(image)
             if rank is not None:
-                hits[rank] = 1
+                hits[rank] = 1 + image_flag
             else:
                 unexpected = _smallest_keys(unexpected, image)
             back = phi_inverse(image)
@@ -213,19 +242,6 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                     input_word=path.word,
                     expected=path.word,
                     actual=back.word,
-                )
-        if subdiagonal:
-            word_flag = is_subdiagonal_delannoy(path)
-            vertex_flag = is_subdiagonal_kimberling(image)
-            subdiagonal_words += word_flag
-            if word_flag != vertex_flag:
-                logs["subdiagonal"].add(
-                    "subdiagonal_transport",
-                    n=n,
-                    k=k,
-                    input_word=path.word,
-                    delannoy_subdiagonal=word_flag,
-                    kimberling_subdiagonal=vertex_flag,
                 )
         if per_step:
             north, east, _ = step_labels(path)
@@ -260,10 +276,21 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                     )
                 tally[classify_d_counts(d_north, d_east)] += 1
 
+    if roundtrip:
+        # the images are the slice, each once; with no inverse_roundtrip
+        # failure, every roundtrip of a slice member is implied (see CHECKS)
+        onto = not unexpected and words == ranks.size and 0 not in hits
+        implied = onto and not logs["roundtrip"].count
     if roundtrip or counts or subdiagonal:
         for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
             if roundtrip:
                 rank = ranks.rank(kpath)
+                if implied and rank == vertex_paths:
+                    # kpath is the image of one word, so it maps back to itself
+                    if subdiagonal:
+                        subdiagonal_vertex_paths += hits[rank] - 1
+                    vertex_paths += 1
+                    continue
                 in_order = in_order and rank == vertex_paths
                 if rank is not None and not hits[rank]:
                     missing = _smallest_keys(missing, kpath)
@@ -286,7 +313,7 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
             logs["roundtrip"].add(
                 "vertex_order", n=n, k=k, slice_size=ranks.size, enumerated=vertex_paths
             )
-        if unexpected or words != ranks.size or 0 in hits:
+        if not onto:
             logs["roundtrip"].add(
                 "image_set", n=n, k=k, missing_from_image=missing, unexpected_in_image=unexpected
             )
@@ -350,6 +377,16 @@ def _case_coverage(
 #   slice, both as sorted ``(xs, ys)`` interior coordinates.  Ranks only map
 #   images into the slice; missing paths are named from the enumerated slice,
 #   so one the enumerator skips is reported by ``vertex_order`` alone.
+#   The vertex pass skips what the word pass proves.  A unit whose words all
+#   map back to themselves, whose images all have ranks, hitting every one,
+#   and with as many words as ranks, has shown ``phi`` a bijection onto the
+#   slice, since only a member has a rank.  A vertex path whose rank is its
+#   enumeration index is then one word's image, so ``phi(phi_inverse(v))``
+#   is v, and the pass counts it without mapping it.  In a sweep that also
+#   asks for subdiagonal, its Kimberling flag is its image's, stored in the
+#   bytearray as 1 + flag.  Every other vertex path, and every path of any
+#   other unit, takes the full roundtrip and its own subdiagonal test, and a
+#   sweep without roundtrip tests every vertex path's subdiagonal flag.
 # - counts: one per (n, k) cell with 0 <= k <= n <= n_max; each cell compares
 #   the two closed forms with both enumerated counts, four exact integers.
 # - subdiagonal: one per word (subdiagonality transports through phi), plus

@@ -9,7 +9,9 @@ longer calls: ``merge_tagged`` runs the package's height scan on arbitrary
 inputs, ``bisect_merge_tagged`` is the interleave-and-insert merge it
 replaced.  And the parsers that checked outside input beside the path
 constructors: ``make_kimberling`` held the vertex pair rule, and
-``parse_step_word`` scanned the alphabet itself.
+``parse_step_word`` scanned the alphabet itself.  And ``parse_vertex_text``
+as it was before compact input took a JSON fast path: one regex match and
+two ``int`` calls per ``(x,y)`` chunk.
 """
 
 import json
@@ -319,3 +321,26 @@ def make_kimberling(vertices):
 
 def _is_coordinate(c):
     return isinstance(c, int) and not isinstance(c, bool)
+
+
+_COMPACT_PAIR_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+
+
+def parse_vertex_text(text):
+    """Parse either a JSON vertex array or the compact "(x,y);(x,y);..." form."""
+    stripped = text.strip()
+    if stripped.startswith("["):
+        try:
+            data = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise LatticeError(f"bad vertex JSON: {exc}") from None
+        except RecursionError:
+            raise LatticeError("bad vertex JSON: nested too deeply") from None
+        return KimberlingPath(data)
+    pairs = []
+    for chunk in stripped.split(";"):
+        match = _COMPACT_PAIR_RE.fullmatch(chunk.strip())
+        if not match:
+            raise LatticeError(f"bad vertex {chunk.strip()!r}; expected (x,y)")
+        pairs.append((int(match.group(1)), int(match.group(2))))
+    return KimberlingPath(pairs)

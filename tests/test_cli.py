@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delannoy_kit import (
+    DelannoyPath,
     enumerate_delannoy,
     phi,
     sample_delannoy_stream,
@@ -185,6 +187,17 @@ class TestMapUnmap:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "not a pair of integers" in err
+
+    def test_both_vertex_forms_of_one_path_at_order_16384(self, capsys):
+        letters = list("D" * 5384 + "E" * 11000 + "N" * 11000)
+        random.Random(16384).shuffle(letters)
+        image = phi(DelannoyPath("".join(letters)))
+        compact = ";".join(f"({x},{y})" for x, y in image.vertices)
+        vertices_json = json.dumps([list(v) for v in image.vertices])
+        assert parse_vertex_text(compact) == parse_vertex_text(vertices_json) == image
+        code, out, err = invoke(capsys, "unmap", compact)
+        assert (code, out, err) == (0, "".join(letters) + "\n", "n=16384 k=11000\n")
+        assert invoke(capsys, "unmap", vertices_json) == (code, out, err)
 
     def test_parse_vertex_text_forms(self):
         assert parse_vertex_text("[[0,0],[1,0]]").vertices == ((0, 0), (1, 0))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -524,12 +525,12 @@ class TestOnePassPerUnit:
         for name in calls:
             monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
         run_checks(list(harness.CHECKS), n_max=3, workers=1)
-        # 10 (n, k) units; 80 words mapped once each, and 80 vertex paths
-        # mapped back through phi(phi_inverse(...))
+        # 10 (n, k) units; 80 words mapped once each, and no vertex path
+        # mapped back, since each unit's word pass implies those roundtrips
         assert calls == {
             "enumerate_delannoy_by_e": 10,
             "enumerate_kimberling_by_vertices": 10,
-            "phi": 160,
+            "phi": 80,
         }
 
     def test_no_names_start_no_sweep(self, monkeypatch):
@@ -676,6 +677,34 @@ class TestRankedImageCheck:
     )
     def test_paths_outside_the_slice_have_no_rank(self, vertices):
         assert harness._SliceRank(3, 2).rank(_unchecked_vertices(tuple(vertices))) is None
+
+    def test_only_slice_members_have_a_rank(self):
+        # all 144 sequences of table keys at (3, 2); before rank checked the
+        # steps, 98 non-monotone ones such as ((0,0),(1,1),(2,0),(4,3)) had one
+        ranks = harness._SliceRank(3, 2)
+        candidates = map(_unchecked_vertices, itertools.product(*ranks._tables))
+        ranked = {kpath for kpath in candidates if ranks.rank(kpath) is not None}
+        assert ranked == set(enumerate_kimberling_by_vertices(4, 3, 2))
+
+    def test_a_vertex_path_aliasing_a_rank_is_mapped_back(self, monkeypatch):
+        # the word pass proves every slice member's roundtrip, so the vertex
+        # pass skips a path whose rank is its index; a non-monotone path that
+        # summed to a member's rank would have been skipped in its place
+        alias = ((0, 0), (1, 1), (2, 0), (4, 3))
+
+        def aliasing_enumerator(i, j, k):
+            paths = list(enumerate_kimberling_by_vertices(i, j, k))
+            if (i, j, k) == (4, 3, 2):
+                assert paths[3].vertices == ((0, 0), (1, 0), (2, 3), (4, 3))
+                paths[3] = _unchecked_vertices(alias)
+            return paths
+
+        monkeypatch.setattr(harness, "enumerate_kimberling_by_vertices", aliasing_enumerator)
+        _, failures, _ = harness._unit(("roundtrip",), (3, 2))[0]
+        assert failures.records == [
+            _forward(3, 2, [[0, 0], [1, 1], [2, 0], [4, 3]], [[0, 0], [1, 0], [2, 1], [4, 3]]),
+            {"kind": "vertex_order", "n": 3, "k": 2, "slice_size": 30, "enumerated": 30},
+        ]
 
     def test_non_monotone_image_is_reported_not_aliased(self, monkeypatch):
         def repeating_phi(path):  # EENND's first interior vertex (1, 0), twice

@@ -1,6 +1,7 @@
 """The Algorithm L enumerator, the height-scan inverse, the
-ratio-updated sampler, the templated ``classify`` output and the path
-constructors' own input checks against the implementations they replaced,
+ratio-updated sampler, the templated ``classify`` output, the path
+constructors' own input checks and the compact vertex parse against the
+implementations they replaced,
 kept in ``reference.py``; the height scan as an A/B/C merge against the
 bisect merge; and the sampled paths beyond the exhaustive range."""
 
@@ -29,6 +30,7 @@ from delannoy_kit import (
     phi_inverse,
     sample_delannoy_stream,
 )
+from delannoy_kit import cli
 from delannoy_kit.cli import run
 
 
@@ -58,10 +60,10 @@ def test_inverse_matches_merge_reference_on_every_vertex_path(n):
 
 def _outcome(fn, *args):
     """The value ``fn(*args)`` returns, or the type, message and fields of
-    the ``LatticeError`` it raises."""
+    the ``ValueError`` (``LatticeError`` included) it raises."""
     try:
         return fn(*args)
-    except LatticeError as exc:
+    except ValueError as exc:
         return type(exc), exc.args, vars(exc)
 
 
@@ -150,6 +152,30 @@ def test_kimberling_constructor_matches_make_kimberling_reference(vertices):
 @example("dİ")
 def test_parse_step_word_matches_alphabet_scan_reference(text):
     assert _outcome(parse_step_word, text) == _outcome(reference.parse_step_word, text)
+
+
+@given(
+    st.one_of(
+        st.lists(st.tuples(st.integers(-2, 12), st.integers(-2, 12)), max_size=6).map(
+            lambda pairs: ";".join(f"({x},{y})" for x, y in [(0, 0), *sorted(pairs)])
+        ),
+        st.text(st.sampled_from("(),;-0129 []e.\t\xa0\u0663"), max_size=16),
+    )
+)
+@example("(0,0);(1,1);(2,1)")
+@example("(0,0],[1,1);(2,1)")  # JSON brackets from the text, one ";" short
+@example("(0,0);(1,1),(2,1)")
+@example("(0,0) ;( 1 , 1 );\t(2,1)")
+@example("(0,0);(01,1);(2,1)")  # a leading zero, a non-ASCII digit, ...: not JSON integers
+@example("(0,0);(\u0661,1);(2,1)")
+@example("(0,0);(1e0,1);(2,1)")
+@example("(0,0);([1],1);(2,1)")
+@example("(0,0);(NaN,1);(2,1)")
+@example("(1,0);(2,1)")  # compact, but no path
+@example("(0,0);(" + "9" * 5000 + ",1);(2,x)")  # the digit limit before the bad chunk
+@example("(" + "[" * 50_000 + ")")
+def test_vertex_text_parse_matches_per_chunk_regex_reference(text):
+    assert _outcome(cli.parse_vertex_text, text) == _outcome(reference.parse_vertex_text, text)
 
 
 @given(n=st.integers(0, 80), count=st.integers(0, 5), seed=st.integers())
