@@ -41,10 +41,8 @@ from .counting import (
 from .geometry import (
     below_endpoint_chord,
     classify_d_counts,
-    diagonal_flags,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
-    preceding_d_counts,
     walk_east_steps,
 )
 from .harness import VerificationReport, run_checks
@@ -72,7 +70,6 @@ __all__ = [
     "count_delannoy_by_e",
     "count_kimberling",
     "count_kimberling_by_vertices",
-    "diagonal_flags",
     "enumerate_delannoy",
     "enumerate_delannoy_by_e",
     "enumerate_kimberling",
@@ -84,7 +81,6 @@ __all__ = [
     "path_vertices",
     "phi",
     "phi_inverse",
-    "preceding_d_counts",
     "render_pair",
     "run_checks",
     "sample_delannoy_stream",

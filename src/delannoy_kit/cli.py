@@ -150,30 +150,34 @@ def _cmd_unmap(args: argparse.Namespace) -> int:
     return 0
 
 
+# the size flags each family needs, for ``count`` and ``enumerate`` alike
+_FAMILY_FLAGS = {"delannoy": ("n",), "kimberling": ("i", "j"), "schroder": ("n",)}
+
+
+def _require_family_flags(args: argparse.Namespace) -> None:
+    flags = _FAMILY_FLAGS[args.family]
+    if any(getattr(args, flag) is None for flag in flags):
+        raise LatticeError(f"{args.command} {args.family} requires --" + " and --".join(flags))
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
+    _require_family_flags(args)
     if args.family == "delannoy":
-        if args.n is None:
-            raise LatticeError("count delannoy requires --n")
         value = count_delannoy(args.n) if args.k is None else count_delannoy_by_e(args.n, args.k)
     elif args.family == "kimberling":
-        if args.i is None or args.j is None:
-            raise LatticeError("count kimberling requires --i and --j")
         if args.k is None:
             value = count_kimberling(args.i, args.j)
         else:
             value = count_kimberling_by_vertices(args.i, args.j, args.k)
     else:
-        if args.n is None:
-            raise LatticeError("count schroder requires --n")
         value = schroder(args.n)
     print(value)
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    _require_family_flags(args)
     if args.family == "delannoy":
-        if args.n is None:
-            raise LatticeError("enumerate delannoy requires --n")
         if args.k_only is None:
             stream = enumerate_delannoy(args.n)
         else:
@@ -183,8 +187,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 continue
             print(path.word)
     else:
-        if args.i is None or args.j is None:
-            raise LatticeError("enumerate kimberling requires --i and --j")
         if args.k_only is None:
             kstream = enumerate_kimberling(args.i, args.j)
         else:

@@ -2,9 +2,10 @@
 
 Every check enumerates complete families up to a size bound and compares
 against independent oracles (closed-form counts, the Schroder recurrence,
-per-step case analysis).  Failures are data, never exceptions: a sweep
-always runs to completion and reports totals, a capped list of
-counterexamples, and an exact failure count.
+per-step case analysis).  A result that fails a check becomes a failure
+record, and the sweep runs on to report totals, a capped list of
+counterexamples, and an exact failure count; a ``LatticeError`` raised by
+a map or a predicate ends the sweep and reaches the caller.
 
 Sweeps are partitioned into (n, k) units -- the paths with k East steps on
 the word side, the paths with k interior vertices on the vertex side.

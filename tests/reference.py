@@ -31,7 +31,6 @@ from delannoy_kit import (
     central_index,
     classify_d_counts,
     count_delannoy_by_e,
-    diagonal_flags,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
     path_vertices,
@@ -39,6 +38,7 @@ from delannoy_kit import (
     walk_east_steps,
 )
 from delannoy_kit.bijection import _height_slots
+from delannoy_kit.geometry import diagonal_flags
 
 LETTER_TO_TAG = {"N": "A", "E": "B", "D": "C"}
 TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -183,10 +184,15 @@ class TestMapUnmap:
         assert "Traceback" not in err
 
     def test_unmap_rejects_bool_coordinates(self, capsys):
-        code, out, err = invoke(capsys, "unmap", "[[0,0],[1,false],[2,true]]", "--debug")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "not a pair of integers" in err
+        # and the other entries that are not a pair of integers: a non-pair, a float
+        for argv in (
+            ("[[0,0],[1,false],[2,true]]", "--debug"),
+            ("[[0,0],5]",),
+            ("[[0,0],[1.5,0],[2,1]]",),
+        ):
+            code, out, err = invoke(capsys, "unmap", *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and "not a pair of integers" in err
 
     def test_both_vertex_forms_of_one_path_at_order_16384(self, capsys):
         letters = list("D" * 5384 + "E" * 11000 + "N" * 11000)
@@ -216,6 +222,11 @@ class TestCount:
             (("count", "delannoy", "--n", "8", "--k", "5"), "72072"),
             (("count", "kimberling", "--i", "2", "--j", "1"), "3"),
             (("count", "kimberling", "--i", "9", "--j", "8", "--k", "5"), "72072"),
+            pytest.param(
+                ("count", "kimberling", "--i", "1025", "--j", "1024"),
+                str(sum(comb(1024, k) * comb(1024 + k, k) for k in range(1025))),
+                id="order-1024",
+            ),
         ],
     )
     def test_values(self, capsys, argv, expected):
@@ -342,9 +353,12 @@ class TestSample:
         assert len(first[1].split()) == 4
 
     def test_matches_library_stream(self, capsys):
-        _, out, _ = invoke(capsys, "sample", "--n", "4", "--count", "6", "--seed", "123")
-        expected = [p.word for p in sample_delannoy_stream(4, 6, seed=123)]
-        assert out.split() == expected
+        for n, count, seed in ((4, 6, 123), (1024, 3, 1)):
+            code, out, err = invoke(
+                capsys, "sample", "--n", str(n), "--count", str(count), "--seed", str(seed)
+            )
+            assert (code, err) == (0, "")
+            assert out.split() == [p.word for p in sample_delannoy_stream(n, count, seed=seed)]
 
     def test_rejects_negative_count(self, capsys):
         assert invoke(capsys, "sample", "--n", "2", "--count", "-1")[0] == 2
@@ -530,7 +544,6 @@ class TestTopLevel:
             "count_delannoy_by_e",
             "count_kimberling",
             "count_kimberling_by_vertices",
-            "diagonal_flags",
             "enumerate_delannoy",
             "enumerate_delannoy_by_e",
             "enumerate_kimberling",
@@ -542,7 +555,6 @@ class TestTopLevel:
             "path_vertices",
             "phi",
             "phi_inverse",
-            "preceding_d_counts",
             "render_pair",
             "run_checks",
             "sample_delannoy_stream",
@@ -550,6 +562,28 @@ class TestTopLevel:
             "step_labels",
             "walk_east_steps",
         ]
+        namespace = {}
+        exec("from delannoy_kit import *", namespace)
+        assert sorted(namespace.keys() - {"__builtins__"}) == sorted(delannoy_kit.__all__)
+
+    def test_imports_only_the_standard_library(self):
+        # -S -I: no site-packages, no PYTHON* variables, no working directory
+        script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from delannoy_kit import cli, harness, render
+assert cli.run(["verify", "--n-max", "3"]) == 0
+assert cli.run(["map", "NEEDNNNEDDEEN"]) == 0
+allowed = sys.stdlib_module_names | {"delannoy_kit", "__main__", "__mp_main__"}
+outside = sorted({name.partition(".")[0] for name in sys.modules} - allowed)
+sys.exit(f"imported outside the standard library: {outside}" if outside else 0)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-S", "-I", "-c", script, src],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "n=8 k=5\n")  # map's stderr line
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2

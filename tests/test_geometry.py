@@ -6,14 +6,12 @@ from delannoy_kit import (
     NotCentral,
     below_endpoint_chord,
     classify_d_counts,
-    diagonal_flags,
     enumerate_delannoy,
     enumerate_kimberling,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
     parse_step_word,
     phi,
-    preceding_d_counts,
     walk_east_steps,
 )
 from delannoy_kit.geometry import (
@@ -21,6 +19,8 @@ from delannoy_kit.geometry import (
     CASE_LABELS,
     CASE_MORE_BEFORE_EAST,
     CASE_MORE_BEFORE_NORTH,
+    diagonal_flags,
+    preceding_d_counts,
 )
 from reference import sampled_subdiagonal_delannoy, sampled_subdiagonal_kimberling
 

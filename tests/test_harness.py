@@ -19,7 +19,7 @@ from delannoy_kit import (
     enumerate_delannoy_by_e,
     enumerate_kimberling_by_vertices,
 )
-from delannoy_kit import harness
+from delannoy_kit import cli, harness
 from delannoy_kit.geometry import CASE_LABELS
 from delannoy_kit.harness import FAILURE_CAP, resolve_workers, run_checks
 from delannoy_kit.lattice_core import _unchecked_vertices
@@ -130,14 +130,29 @@ class TestReportMechanics:
         }
         json.dumps(payload)
 
-    def test_fused_serial_sweep_matches_the_golden_report(self):
-        # verify --n-max 6 --json minus elapsed_ms, recorded before the vertex
-        # pass began skipping the roundtrips that the word pass implies
-        reports = run_checks(list(harness.CHECKS), 6, workers=1)
-        payload = {
-            "passed": all(r.passed for r in reports),
-            "reports": [json.loads(_without_elapsed(r)) for r in reports],
-        }
+    @pytest.mark.parametrize(
+        "threads, checks",
+        [(None, ["all"]), ("2", ["all"]), (None, list(harness.CHECKS))],
+        ids=["one-worker", "pool-of-two", "each-check-alone"],
+    )
+    def test_verify_json_matches_the_golden_report(self, capsys, monkeypatch, threads, checks):
+        # the golden file is verify --n-max 6 --json minus elapsed_ms, recorded
+        # before the vertex pass began skipping the roundtrips that the word
+        # pass implies; the reports match it with 1 worker or 2, and for each
+        # check alone or fused
+        if threads is None:
+            monkeypatch.delenv(harness.ENV_THREADS, raising=False)
+        else:
+            monkeypatch.setenv(harness.ENV_THREADS, threads)
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any machine
+        payloads = []
+        for check in checks:
+            assert cli.run(["verify", "--n-max", "6", "--check", check, "--json"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        reports = [report for payload in payloads for report in payload["reports"]]
+        for report in reports:
+            del report["elapsed_ms"]
+        payload = {"passed": all(p["passed"] for p in payloads), "reports": reports}
         assert json.dumps(payload, indent=2) + "\n" == GOLDEN_N6.read_text(encoding="utf-8")
 
     def test_run_checks_order_and_names(self):
@@ -880,7 +895,7 @@ class TestWorkerResolution:
             ("100000", 64, 2, 6),  # capped by the 6 (n, k) units
             ("100000", 4, 2, 4),  # capped by the CPUs
             ("3", 64, 2, 3),  # the request itself
-            ("0", 5, 8, 5),  # one per CPU
+            ("0", 5, 3, 5),  # one per CPU: n_max = 3 has 10 units
         ],
     )
     def test_pool_size_is_capped(self, monkeypatch, requested, cpus, n_max, processes):

@@ -18,7 +18,6 @@ from delannoy_kit import (
     DelannoyPath,
     KimberlingPath,
     LatticeError,
-    diagonal_flags,
     enumerate_delannoy,
     enumerate_delannoy_by_e,
     enumerate_kimberling,
@@ -32,6 +31,7 @@ from delannoy_kit import (
 )
 from delannoy_kit import cli
 from delannoy_kit.cli import run
+from delannoy_kit.geometry import diagonal_flags
 
 
 @pytest.mark.parametrize("n", range(8))
