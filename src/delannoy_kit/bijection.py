@@ -25,9 +25,6 @@ of equal B values.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Iterable
-
 from .lattice_core import (
     DelannoyPath,
     KimberlingPath,
@@ -85,18 +82,22 @@ def _pair_labels(north: list[int], east: list[int], diagonal: list[int]) -> Kimb
     return _unchecked_vertices(((0, 0), *zip(north, east), (n + 1, n)))
 
 
-def _height_slots(n: int, a: Iterable[int], b: Iterable[int]) -> list[str]:
-    """The height scan: slot h spells the steps that end at height h.
+def _height_slots(kpath: KimberlingPath) -> list[str]:
+    """The height scan of a path to (n+1, n): slot h spells the steps that end at height h.
 
-    Slot 0 is one E per zero in ``b``; slot h (1..n) is N when h is in ``a``,
-    else D, followed by one E per h in ``b``.  Joined, the slots spell the
-    word; read back as tags (N -> A, E -> B, D -> C) they give the merge order.
+    Slot 0 is one E per interior vertex at height 0; slot h (1..n) is N when
+    an interior vertex has x = h, else D, followed by one E per interior
+    vertex at height h.  Joined, the slots spell the word; read back as tags
+    (N -> A, E -> B, D -> C) they give the merge order.  Raises
+    ``BadEndpoint`` when the terminal vertex has no (n+1, n) shape.
     """
-    slots = ["D"] * (n + 1)
+    slots = ["D"] * (_image_order(kpath) + 1)
     slots[0] = ""
-    for x in a:
+    interior = kpath.vertices[1:-1]
+    # every N is placed before any E is appended, so an E at height h = x survives
+    for x, _ in interior:
         slots[x] = "N"
-    for y in b:
+    for _, y in interior:
         slots[y] += "E"
     return slots
 
@@ -111,9 +112,10 @@ def inverse_parts(
     merge is a list of (value, tag) pairs, tag "A", "B" or "C".  Raises
     ``BadEndpoint`` when the terminal vertex has no (n+1, n) shape.
     """
-    a = [x for x, _ in kpath.interior]
-    b = [y for _, y in kpath.interior]
-    slots = _height_slots(_image_order(kpath), a, b)
+    slots = _height_slots(kpath)
+    interior = kpath.vertices[1:-1]
+    a = [x for x, _ in interior]
+    b = [y for _, y in interior]
     c = [h for h, slot in enumerate(slots) if slot[:1] == "D"]
     # the slots spell the merge's tags in the order of its values, A, B and C sorted
     tags = "".join(slots).translate(_LETTERS_TO_TAGS)
@@ -126,8 +128,5 @@ def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:
     Raises ``BadEndpoint`` when the terminal vertex has no such shape.
     The result is central with index (n, #interior vertices).
     """
-    interior = kpath.interior
-    xs, ys = map(itemgetter(0), interior), map(itemgetter(1), interior)
     # the height slots hold only the letters D, N and E
-    return _unchecked_word("".join(_height_slots(_image_order(kpath), xs, ys)))
-
+    return _unchecked_word("".join(_height_slots(kpath)))

@@ -20,10 +20,15 @@ unchanged.
 Enumeration orders are fixed so golden outputs stay stable:
 
 * ``enumerate_delannoy(n)`` yields words in lexicographic order under
-  D < E < N.  Each k-slice is the multiset {D^(n-k), E^k, N^k} permuted by
-  Knuth's Algorithm L (TAOCP 4A, 7.2.1.2), which steps from one
-  arrangement to the next lexicographically larger one in place, so no
-  enumerator recurses and working memory is O(n).
+  D < E < N.  Each k-slice is the multiset {D^(n-k), E^k, N^k} split into
+  a head and a tail of the last ``TAIL_LETTERS`` letters (all of them in a
+  shorter word).  Knuth's Algorithm L (TAOCP 4A, 7.2.1.2) steps the head
+  from one arrangement to the next lexicographically larger one in place;
+  each head is followed by every arrangement of its tail's letters, in
+  lexicographic order, read from a table built once per process and
+  bounded by 3^0 + ... + 3^6 = 1,093 strings.  A word is its head then its
+  tail, so the order is Algorithm L's over the whole word, no enumerator
+  recurses, and working memory is O(n) beside the fixed table.
 * ``enumerate_kimberling(i, j)`` is k-major: interior-vertex count
   ascending, then lexicographic by x-set, then by y-multiset.
 """
@@ -34,11 +39,16 @@ import heapq
 import math
 import random
 from bisect import bisect_right
-from itertools import accumulate, combinations, combinations_with_replacement
+from functools import cache
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from operator import attrgetter
 from typing import Iterator
 
 from .lattice_core import DelannoyPath, KimberlingPath, _unchecked_vertices, _unchecked_word
+
+
+# the last TAIL_LETTERS letters of each word come from ``_tail_table``
+TAIL_LETTERS = 6
 
 
 def _require_order(n: int, caller: str) -> None:
@@ -148,20 +158,36 @@ def enumerate_delannoy_by_e(n: int, k: int) -> Iterator[DelannoyPath]:
         return
     # Algorithm L: the ASCII order of the letters is the order D < E < N.
     word = ["D"] * (n - k) + ["E"] * k + ["N"] * k
-    last = len(word) - 1
+    cut = max(len(word) - TAIL_LETTERS, 0)
+    tails = _tail_table(len(word) - cut)
     while True:
+        # the tail word[cut:] is ascending here, which keys its arrangements;
         # Algorithm L only permutes the letters D, E and N
-        yield _unchecked_word("".join(word))
-        j = last - 1
+        tail = word[cut:]
+        yield from map(_unchecked_word, map("".join(word[:cut]).__add__, tails["".join(tail)]))
+        # the head's last word has its tail descending; step the head from there
+        tail.reverse()
+        word[cut:] = tail
+        j = cut - 1
         while j >= 0 and word[j] >= word[j + 1]:
             j -= 1
         if j < 0:
             return
-        i = last
+        i = len(word) - 1
         while word[j] >= word[i]:
             i -= 1
         word[j], word[i] = word[i], word[j]
         word[j + 1 :] = word[:j:-1]
+
+
+@cache
+def _tail_table(size: int) -> dict[str, tuple[str, ...]]:
+    """Every word of ``size`` letters over D, E and N, grouped by its letters
+    in ascending order, each group in lexicographic order."""
+    table: dict[str, list[str]] = {}
+    for letters in product("DEN", repeat=size):
+        table.setdefault("".join(sorted(letters)), []).append("".join(letters))
+    return {key: tuple(group) for key, group in table.items()}
 
 
 def enumerate_kimberling_by_vertices(i: int, j: int, k: int) -> Iterator[KimberlingPath]:

@@ -178,14 +178,14 @@ class KimberlingPath:
 def _unchecked_word(word: str) -> DelannoyPath:
     """A ``DelannoyPath`` of ``word``, which the caller guarantees is over E/N/D."""
     path = object.__new__(DelannoyPath)
-    object.__setattr__(path, "word", word)
+    path.__dict__["word"] = word  # the entry object.__setattr__ would write, without the call
     return path
 
 
 def _unchecked_vertices(vertices: tuple[LatticePoint, ...]) -> KimberlingPath:
     """A ``KimberlingPath`` of ``vertices``, which the caller guarantees is valid."""
     path = object.__new__(KimberlingPath)
-    object.__setattr__(path, "vertices", vertices)
+    path.__dict__["vertices"] = vertices
     return path
 
 

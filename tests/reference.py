@@ -3,9 +3,14 @@
 Earlier implementations: the package's k-slice enumerator (Algorithm L),
 its inverse (a height scan), its ratio-updated sampler and the templated
 ``classify`` output replaced these; tests compare the two outputs exactly.
+The kernels they in turn replaced, as they were before the sweep's
+per-path rewrite: Algorithm L over every letter of the word
+(``algorithm_l_words``), the chord test as one ``all()``
+(``all_below_endpoint_chord``), and the inverse that scanned heights from
+the interior's x and y maps (``scan_phi_inverse``, ``scan_inverse_parts``).
 The segment-sampling subdiagonal checks, which corroborate that testing
 vertices alone loses nothing between them.  And the validated A/B/C merge API, which the package no
-longer calls: ``merge_tagged`` runs the package's height scan on arbitrary
+longer calls: ``merge_tagged`` runs that height scan, ``height_slots``, on arbitrary
 inputs, ``bisect_merge_tagged`` is the interleave-and-insert merge it
 replaced.  And the parsers that checked outside input beside the path
 constructors: ``make_kimberling`` held the vertex pair rule, and
@@ -13,7 +18,6 @@ constructors: ``make_kimberling`` held the vertex pair rule, and
 as it was before compact input took a JSON fast path: one regex match and
 two ``int`` calls per ``(x,y)`` chunk.
 """
-
 import json
 import math
 import random
@@ -21,6 +25,7 @@ import re
 from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import accumulate
+from operator import itemgetter
 
 from delannoy_kit import (
     BadEndpoint,
@@ -37,8 +42,9 @@ from delannoy_kit import (
     phi,
     walk_east_steps,
 )
-from delannoy_kit.bijection import _height_slots
+from delannoy_kit.bijection import _LETTERS_TO_TAGS
 from delannoy_kit.geometry import diagonal_flags
+from delannoy_kit.lattice_core import _image_order
 
 LETTER_TO_TAG = {"N": "A", "E": "B", "D": "C"}
 TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
@@ -78,6 +84,64 @@ def enumerate_delannoy_by_e(n, k):
     yield from rec(n - k, k, k)
 
 
+def algorithm_l_words(n, k):
+    """The k-slice's words by Algorithm L over the whole word, one step per word."""
+    if not 0 <= k <= n:
+        return
+    word = ["D"] * (n - k) + ["E"] * k + ["N"] * k
+    last = len(word) - 1
+    while True:
+        yield "".join(word)
+        j = last - 1
+        while j >= 0 and word[j] >= word[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        i = last
+        while word[j] >= word[i]:
+            i -= 1
+        word[j], word[i] = word[i], word[j]
+        word[j + 1 :] = word[:j:-1]
+
+
+def all_below_endpoint_chord(kpath):
+    """y * i <= x * j at every vertex, for the path's own endpoint (i, j)."""
+    i_end, j_end = kpath.endpoint
+    return all(y * i_end <= x * j_end for x, y in kpath.vertices)
+
+
+def height_slots(n, a, b):
+    """The height scan: slot h spells the steps that end at height h.
+
+    Slot 0 is one E per zero in ``b``; slot h (1..n) is N when h is in ``a``,
+    else D, followed by one E per h in ``b``.
+    """
+    slots = ["D"] * (n + 1)
+    slots[0] = ""
+    for x in a:
+        slots[x] = "N"
+    for y in b:
+        slots[y] += "E"
+    return slots
+
+
+def scan_inverse_parts(kpath):
+    """A, B, C and the merged tagged sequence, read from the interior's maps."""
+    a = [x for x, _ in kpath.interior]
+    b = [y for _, y in kpath.interior]
+    slots = height_slots(_image_order(kpath), a, b)
+    c = [h for h, slot in enumerate(slots) if slot[:1] == "D"]
+    tags = "".join(slots).translate(_LETTERS_TO_TAGS)
+    return a, b, c, list(zip(sorted(a + b + c), tags))
+
+
+def scan_phi_inverse(kpath):
+    """The word of the height scan over the interior's x and y maps."""
+    interior = kpath.interior
+    xs, ys = map(itemgetter(0), interior), map(itemgetter(1), interior)
+    return DelannoyPath("".join(height_slots(_image_order(kpath), xs, ys)))
+
+
 def _validated_parts(a_set, b_multiset, c_set):
     a = list(a_set)
     b = list(b_multiset)
@@ -105,7 +169,7 @@ def merge_tagged(a_set, b_multiset, c_set):
     a, b, c = _validated_parts(a_set, b_multiset, c_set)
     heights = sorted(a + c)
     rank = partial(bisect_right, heights)
-    letters = "".join(_height_slots(len(heights), map(rank, a), map(rank, b)))
+    letters = "".join(height_slots(len(heights), map(rank, a), map(rank, b)))
     return [(v, LETTER_TO_TAG[ch]) for v, ch in zip(sorted(a + b + c), letters)]
 
 

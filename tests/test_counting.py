@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 
@@ -15,7 +16,7 @@ from delannoy_kit import (
     sample_delannoy_stream,
     schroder,
 )
-from delannoy_kit.counting import _slice_terms
+from delannoy_kit.counting import TAIL_LETTERS, _slice_terms, _tail_table
 
 # frozen from a raw-product brute force over words of length n..2n
 CENTRAL_COUNTS = [1, 3, 13, 63, 321, 1683, 8989, 48639, 265729]
@@ -227,6 +228,19 @@ class TestEnumerateDelannoy:
     def test_no_recursion_limit_at_order_1500(self):
         head = [p.word for p in itertools.islice(enumerate_delannoy(1500), 3)]
         assert head == ["D" * 1500, "D" * 1499 + "EN", "D" * 1499 + "NE"]
+
+
+    def test_tail_table_stays_bounded(self):
+        _tail_table.cache_clear()
+        for n in range(9):
+            for k in range(n + 1):
+                collections.deque(enumerate_delannoy_by_e(n, k), maxlen=0)
+        next(enumerate_delannoy_by_e(10_000, 5_000))
+        sizes = _tail_table.cache_info().currsize
+        held = sum(len(g) for t in range(TAIL_LETTERS + 1) for g in _tail_table(t).values())
+        # the table was built for tail lengths 0..TAIL_LETTERS and nothing else
+        assert sizes == _tail_table.cache_info().currsize == TAIL_LETTERS + 1
+        assert held <= sum(3**t for t in range(7)) == 1093
 
 
 class TestEnumerateKimberling:

@@ -564,7 +564,8 @@ class TestOnePassPerUnit:
         assert _without_elapsed(first) == _without_elapsed(second)
         assert _without_elapsed(first) == _without_elapsed(_report(name, 3, workers=1))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    # one worker is the golden verify test's [one-worker] and [each-check-alone]
+    @pytest.mark.parametrize("workers", [2])
     def test_each_report_is_the_same_alone_and_fused(self, workers):
         fused = run_checks(list(harness.CHECKS), n_max=4, workers=workers)
         alone = [_report(name, 4, workers) for name in harness.CHECKS]

@@ -1,5 +1,6 @@
 """The Algorithm L enumerator, the height-scan inverse, the
-ratio-updated sampler, the templated ``classify`` output, the path
+per-path kernels of the sweep (head-and-tail enumeration, the chord loop,
+the height scan from the vertex tuple), the ratio-updated sampler, the templated ``classify`` output, the path
 constructors' own input checks and the compact vertex parse against the
 implementations they replaced,
 kept in ``reference.py``; the height scan as an A/B/C merge against the
@@ -8,7 +9,7 @@ bisect merge; and the sampled paths beyond the exhaustive range."""
 import contextlib
 import io
 import json
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -29,9 +30,10 @@ from delannoy_kit import (
     phi_inverse,
     sample_delannoy_stream,
 )
-from delannoy_kit import cli
+from delannoy_kit import below_endpoint_chord, cli
 from delannoy_kit.cli import run
 from delannoy_kit.geometry import diagonal_flags
+from delannoy_kit.lattice_core import _unchecked_vertices
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -46,6 +48,49 @@ def test_full_order_is_the_sorted_reference_slices(n):
     words = [p.word for p in enumerate_delannoy(n)]
     slices = [p.word for k in range(n + 1) for p in reference.enumerate_delannoy_by_e(n, k)]
     assert words == sorted(slices)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_k_slice_matches_whole_word_algorithm_l(n):
+    # words of 0..24 letters: heads of 0..18 letters meet every tail group
+    for k in range(-1, n + 2):
+        words = [p.word for p in enumerate_delannoy_by_e(n, k)]
+        assert words == list(reference.algorithm_l_words(n, k))
+
+
+def test_first_thousand_words_at_order_1500_match_algorithm_l():
+    head = islice(enumerate_delannoy_by_e(1500, 750), 1000)
+    expected = islice(reference.algorithm_l_words(1500, 750), 1000)
+    assert [p.word for p in head] == list(expected)
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_chord_loop_matches_all_reference(i):
+    for j in range(6):
+        for kpath in enumerate_kimberling(i, j):
+            assert below_endpoint_chord(kpath) == reference.all_below_endpoint_chord(kpath)
+
+
+def _any_outcome(fn, *args):
+    """The value ``fn(*args)`` returns, or the type and arguments of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+@given(st.data())
+def test_inverse_matches_interior_scan_on_unchecked_vertices(data):
+    # interior vertices in any order, repeated or out of range, as a corrupted
+    # phi can send them through the sweep; the endpoint is (n+1, n)
+    n = data.draw(st.integers(0, 7), label="n")
+    coordinate = st.integers(-1, n + 2)
+    interior = data.draw(st.lists(st.tuples(coordinate, coordinate), max_size=n + 2))
+    kpath = _unchecked_vertices(((0, 0), *interior, (n + 1, n)))
+    assert _any_outcome(phi_inverse, kpath) == _any_outcome(reference.scan_phi_inverse, kpath)
+    assert _any_outcome(inverse_parts, kpath) == _any_outcome(
+        reference.scan_inverse_parts, kpath
+    )
 
 
 @pytest.mark.parametrize("n", range(7))
