@@ -158,6 +158,7 @@ def enumerate_delannoy_by_e(n: int, k: int) -> Iterator[DelannoyPath]:
         return
     # Algorithm L: the ASCII order of the letters is the order D < E < N.
     word = ["D"] * (n - k) + ["E"] * k + ["N"] * k
+    last = len(word) - 1
     cut = max(len(word) - TAIL_LETTERS, 0)
     tails = _tail_table(len(word) - cut)
     while True:
@@ -173,7 +174,7 @@ def enumerate_delannoy_by_e(n: int, k: int) -> Iterator[DelannoyPath]:
             j -= 1
         if j < 0:
             return
-        i = len(word) - 1
+        i = last
         while word[j] >= word[i]:
             i -= 1
         word[j], word[i] = word[i], word[j]

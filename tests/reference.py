@@ -10,14 +10,15 @@ per-path rewrite: Algorithm L over every letter of the word
 the interior's x and y maps (``scan_phi_inverse``, ``scan_inverse_parts``).
 The segment-sampling subdiagonal checks, which corroborate that testing
 vertices alone loses nothing between them.  And the validated A/B/C merge API, which the package no
-longer calls: ``merge_tagged`` runs that height scan, ``height_slots``, on arbitrary
-inputs, ``bisect_merge_tagged`` is the interleave-and-insert merge it
+longer calls: ``merge_tagged`` runs ``height_slots``, the scan over A and B
+values, on arbitrary inputs, ``bisect_merge_tagged`` is the interleave-and-insert merge it
 replaced.  And the parsers that checked outside input beside the path
 constructors: ``make_kimberling`` held the vertex pair rule, and
 ``parse_step_word`` scanned the alphabet itself.  And ``parse_vertex_text``
 as it was before compact input took a JSON fast path: one regex match and
 two ``int`` calls per ``(x,y)`` chunk.
 """
+
 import json
 import math
 import random

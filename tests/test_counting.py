@@ -229,7 +229,6 @@ class TestEnumerateDelannoy:
         head = [p.word for p in itertools.islice(enumerate_delannoy(1500), 3)]
         assert head == ["D" * 1500, "D" * 1499 + "EN", "D" * 1499 + "NE"]
 
-
     def test_tail_table_stays_bounded(self):
         _tail_table.cache_clear()
         for n in range(9):

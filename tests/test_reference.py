@@ -1,8 +1,8 @@
-"""The Algorithm L enumerator, the height-scan inverse, the
-per-path kernels of the sweep (head-and-tail enumeration, the chord loop,
-the height scan from the vertex tuple), the ratio-updated sampler, the templated ``classify`` output, the path
-constructors' own input checks and the compact vertex parse against the
-implementations they replaced,
+"""The Algorithm L enumerator, the height-scan inverse, the per-path
+kernels of the sweep (head-and-tail enumeration, the chord loop, the
+height scan from the vertex tuple), the ratio-updated sampler, the
+templated ``classify`` output, the path constructors' own input checks
+and the compact vertex parse against the implementations they replaced,
 kept in ``reference.py``; the height scan as an A/B/C merge against the
 bisect merge; and the sampled paths beyond the exhaustive range."""
 
