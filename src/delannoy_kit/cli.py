@@ -270,7 +270,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
         show_diagonal=not args.no_diagonal,
         label_steps=args.labels,
     )
-    svg = render_pair(path, spec)
+    try:
+        svg = render_pair(path, spec)
+    except OverflowError:  # coordinates are formatted as floats
+        print("error: --cell is too large: the drawing's size overflows a float", file=sys.stderr)
+        return 2
     if args.out in (None, "-"):
         print(svg)
     else:

@@ -92,16 +92,20 @@ class VerificationReport:
 
 
 class FailureLog:
-    """An exact failure count and the first ``FAILURE_CAP`` failure records."""
+    """An exact failure count and the first ``FAILURE_CAP`` failure records.
 
-    def __init__(self) -> None:
+    Each record is its kind, then the ``stamp`` fields the log was made with
+    (a sweep unit's n and k), then the fields ``add`` was given."""
+
+    def __init__(self, **stamp: Any) -> None:
         self.count = 0
         self.records: list[dict[str, Any]] = []
+        self.stamp = stamp
 
     def add(self, kind: str, **fields: Any) -> None:
         self.count += 1
         if len(self.records) < FAILURE_CAP:
-            self.records.append({"kind": kind, **fields})
+            self.records.append({"kind": kind, **self.stamp, **fields})
 
     def extend(self, other: FailureLog) -> None:
         """Append a later log: counts add, records stay in order under the cap."""
@@ -170,9 +174,10 @@ class _SliceRank:
         A member has one vertex per table, each a key of it, with x rising
         strictly and y weakly from vertex to vertex; its sum lies in
         range(size), and no two members share one.  The step test makes a
-        rank imply membership, which lets the vertex pass skip the roundtrips
-        the word pass implies (see ``CHECKS``).  Without it, the non-monotone
-        ((0, 0), (1, 1), (2, 0), (4, 3)) would get rank 3 in the (3, 2) slice.
+        rank imply membership, so a rank names one path of the slice, which
+        lets the vertex pass skip each roundtrip a word has proved (see
+        ``CHECKS``).  Without it, the non-monotone ((0, 0), (1, 1), (2, 0),
+        (4, 3)) would get rank 3 in the (3, 2) slice.
         """
         vertices = kpath.vertices
         if len(vertices) != len(self._tables):
@@ -194,18 +199,19 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
 
     Each word is mapped with ``phi`` once, if roundtrip or subdiagonal is
     asked; the vertex slice is walked only if one of them or counts is.  A
-    vertex path whose roundtrip the word pass implies is not mapped at all
-    (see ``CHECKS``)."""
+    vertex path that is the image of a word mapping back to itself is not
+    mapped at all (see ``CHECKS``)."""
     n, k = unit
     roundtrip, counts = "roundtrip" in names, "counts" in names
     subdiagonal, per_step = "subdiagonal" in names, "per-step" in names
-    logs = {name: FailureLog() for name in CHECKS}
+    logs = {name: FailureLog(n=n, k=k) for name in CHECKS}
     words = vertex_paths = subdiagonal_words = subdiagonal_vertex_paths = 0
     image_flag = False  # stays False unless subdiagonal is asked
     tally = {label: 0 for label in CASE_LABELS}
     if roundtrip:
         ranks = _SliceRank(n, k)
-        # 0 for an unhit rank, else 1 + the subdiagonal flag of its image
+        # 0 for an unhit rank, 1 if the last word to hit it does not map back
+        # to itself, else 2 + the subdiagonal flag of its image
         hits = bytearray(ranks.size)
         missing: list[InteriorKey] = []
         unexpected: list[InteriorKey] = []
@@ -222,28 +228,21 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
             if word_flag != image_flag:
                 logs["subdiagonal"].add(
                     "subdiagonal_transport",
-                    n=n,
-                    k=k,
                     input_word=path.word,
                     delannoy_subdiagonal=word_flag,
                     kimberling_subdiagonal=image_flag,
                 )
         if roundtrip:
-            rank = ranks.rank(image)
-            if rank is not None:
-                hits[rank] = 1 + image_flag
-            else:
-                unexpected = _smallest_keys(unexpected, image)
             back = phi_inverse(image)
             if back.word != path.word:
                 logs["roundtrip"].add(
-                    "inverse_roundtrip",
-                    n=n,
-                    k=k,
-                    input_word=path.word,
-                    expected=path.word,
-                    actual=back.word,
+                    "inverse_roundtrip", input_word=path.word, expected=path.word, actual=back.word
                 )
+            rank = ranks.rank(image)
+            if rank is not None:
+                hits[rank] = 2 + image_flag if back.word == path.word else 1
+            else:
+                unexpected = _smallest_keys(unexpected, image)
         if per_step:
             north, east, _ = step_labels(path)
             ends, before_north, before_east = walk_east_steps(path.word)
@@ -263,8 +262,6 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                     if (py >= px) != (side > 0):
                         logs["per-step"].add(
                             "step_vertex_mismatch",
-                            n=n,
-                            k=k,
                             input_word=path.word,
                             east_index=east_index,
                             east_weakly_above=py >= px,
@@ -273,27 +270,20 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                     if not side:
                         logs["per-step"].add(
                             "vertex_on_diagonal",
-                            n=n,
-                            k=k,
                             input_word=path.word,
                             east_index=east_index,
                             interior_vertex=[x, y],
                         )
                 tally[classify_d_counts(d_north, d_east)] += 1
 
-    if roundtrip:
-        # the images are the slice, each once; with no inverse_roundtrip
-        # failure, every roundtrip of a slice member is implied (see CHECKS)
-        onto = not unexpected and words == ranks.size and 0 not in hits
-        implied = onto and not logs["roundtrip"].count
     if roundtrip or counts or subdiagonal:
         for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
             if roundtrip:
                 rank = ranks.rank(kpath)
-                if implied and rank == vertex_paths:
-                    # kpath is the image of one word, so it maps back to itself
+                if rank == vertex_paths and hits[rank] > 1:
+                    # a word that maps back to itself has kpath as its image
                     if subdiagonal:
-                        subdiagonal_vertex_paths += hits[rank] - 1
+                        subdiagonal_vertex_paths += hits[rank] - 2
                     vertex_paths += 1
                     continue
                 in_order = in_order and rank == vertex_paths
@@ -303,8 +293,6 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 if back_path != kpath:
                     logs["roundtrip"].add(
                         "forward_roundtrip",
-                        n=n,
-                        k=k,
                         input_vertices=_vertex_list(kpath),
                         expected=_vertex_list(kpath),
                         actual=_vertex_list(back_path),
@@ -315,12 +303,10 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
 
     if roundtrip:
         if not in_order or vertex_paths != ranks.size:
+            logs["roundtrip"].add("vertex_order", slice_size=ranks.size, enumerated=vertex_paths)
+        if unexpected or words != ranks.size or 0 in hits:
             logs["roundtrip"].add(
-                "vertex_order", n=n, k=k, slice_size=ranks.size, enumerated=vertex_paths
-            )
-        if not onto:
-            logs["roundtrip"].add(
-                "image_set", n=n, k=k, missing_from_image=missing, unexpected_in_image=unexpected
+                "image_set", missing_from_image=missing, unexpected_in_image=unexpected
             )
     if counts:
         formula = count_delannoy_by_e(n, k)
@@ -328,8 +314,6 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
         if not formula == vertex_formula == words == vertex_paths:
             logs["counts"].add(
                 "path_count",
-                n=n,
-                k=k,
                 expected=formula,
                 kimberling_formula=vertex_formula,
                 delannoy_enumerated=words,
@@ -382,16 +366,17 @@ def _case_coverage(
 #   slice, both as sorted ``(xs, ys)`` interior coordinates.  Ranks only map
 #   images into the slice; missing paths are named from the enumerated slice,
 #   so one the enumerator skips is reported by ``vertex_order`` alone.
-#   The vertex pass skips what the word pass proves.  A unit whose words all
-#   map back to themselves, whose images all have ranks, hitting every one,
-#   and with as many words as ranks, has shown ``phi`` a bijection onto the
-#   slice, since only a member has a rank.  A vertex path whose rank is its
-#   enumeration index is then one word's image, so ``phi(phi_inverse(v))``
-#   is v, and the pass counts it without mapping it.  In a sweep that also
-#   asks for subdiagonal, its Kimberling flag is its image's, stored in the
-#   bytearray as 1 + flag.  Every other vertex path, and every path of any
-#   other unit, takes the full roundtrip and its own subdiagonal test, and a
-#   sweep without roundtrip tests every vertex path's subdiagonal flag.
+#   The vertex pass skips each roundtrip a word has proved.  Each word marks
+#   its image's rank 2 + the image's subdiagonal flag if the image maps back
+#   to the word, else 1.  Only a slice member has a rank and no two members
+#   share one, so a vertex path v marked 2 or 3 is the image of a word that
+#   maps back: ``phi_inverse(v)`` is that word, and ``phi`` of it is v again.
+#   If v's rank is also its enumeration index, which the order test needs,
+#   the pass counts v without mapping it; in a sweep that also asks for
+#   subdiagonal, v's Kimberling flag is its mark minus 2.  Every other vertex
+#   path takes the full roundtrip and its own subdiagonal test, and a sweep
+#   without roundtrip tests every vertex path's subdiagonal flag.  A skipped
+#   path would pass the full roundtrip, so skipping changes no record or count.
 # - counts: one per (n, k) cell with 0 <= k <= n <= n_max; each cell compares
 #   the two closed forms with both enumerated counts, four exact integers.
 # - subdiagonal: one per word (subdiagonality transports through phi), plus
@@ -438,7 +423,8 @@ def run_checks(
     else:
         with multiprocessing.Pool(processes=processes) as pool:
             results = pool.map(unit_fn, units, chunksize=1)
-    folded = []
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    reports = []
     for column, name in enumerate(names):
         cases = 0
         failures = FailureLog()
@@ -462,17 +448,15 @@ def run_checks(
             raise ValueError(
                 f"the {name} check has no cases at n_max={n_max}; that sweep would check nothing"
             )
-        folded.append((name, cases, failures, details))
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return [
-        VerificationReport(
-            check_name=name,
-            n_range=(0, n_max),
-            total_cases=cases,
-            failure_count=failures.count,
-            failures=failures.records,
-            elapsed_ms=elapsed_ms,
-            details=details,
+        reports.append(
+            VerificationReport(
+                check_name=name,
+                n_range=(0, n_max),
+                total_cases=cases,
+                failure_count=failures.count,
+                failures=failures.records,
+                elapsed_ms=elapsed_ms,
+                details=details,
+            )
         )
-        for name, cases, failures, details in folded
-    ]
+    return reports

@@ -9,6 +9,7 @@ import json
 import time
 from collections import Counter
 
+import pytest
 from scipy.stats import chi2
 
 from delannoy_kit import (
@@ -21,6 +22,7 @@ from delannoy_kit import (
     schroder,
 )
 from delannoy_kit.cli import run
+from delannoy_kit.harness import CHECKS
 
 WORKED_WORD = "NEEDNNNEDDEEN"
 WORKED_VERTICES = [[0, 0], [1, 1], [3, 1], [4, 5], [5, 7], [8, 7], [9, 8]]
@@ -29,6 +31,16 @@ SCHRODER_ROW = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586]
 
 def _ok(number: int, text: str) -> None:
     print(f"[criterion {number}] PASS - {text}")
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """Each check's report from one fused ``verify`` sweep at n <= 8, by name.
+
+    A fused report equals the same check's lone report byte for byte (the
+    golden ``verify`` test's each-check-alone case), so criteria 2, 3, 5 and
+    6 read theirs from one sweep."""
+    return {report.check_name: report for report in run_checks(list(CHECKS), 8, workers=1)}
 
 
 def test_criterion_1_worked_example_fidelity(capsys):
@@ -57,18 +69,18 @@ def test_criterion_1_worked_example_fidelity(capsys):
         _ok(1, f"worked example via map/unmap --debug; map in {elapsed * 1000:.2f} ms")
 
 
-def test_criterion_2_bijection_exhaustive():
-    report = run_checks(["roundtrip"], 8, workers=1)[0]
+def test_criterion_2_bijection_exhaustive(sweep):
+    report = sweep["roundtrip"]
     assert report.failure_count == 0
     assert report.total_cases == 650_882  # includes the 531,458 top-size cases
     assert report.elapsed_ms < 30_000
     _ok(2, f"roundtrip over {report.total_cases} cases in {report.elapsed_ms:.0f} ms")
 
 
-def test_criterion_3_refined_counts():
+def test_criterion_3_refined_counts(sweep):
     assert count_delannoy_by_e(2, 1) == 6
     assert count_delannoy_by_e(8, 5) == 72_072
-    report = run_checks(["counts"], 8, workers=1)[0]
+    report = sweep["counts"]
     assert report.failure_count == 0
     assert report.total_cases == 45  # one cell per (n, k), 0 <= k <= n <= 8
     _ok(3, "enumerated per-k counts equal the closed form for all n <= 8")
@@ -84,8 +96,8 @@ def test_criterion_4_smallest_family_golden():
     _ok(4, "the three paths to (2, 1) enumerate exactly")
 
 
-def test_criterion_5_subdiagonal_exhaustive():
-    report = run_checks(["subdiagonal"], 8, workers=1)[0]
+def test_criterion_5_subdiagonal_exhaustive(sweep):
+    report = sweep["subdiagonal"]
     assert report.failure_count == 0
     assert [schroder(n) for n in range(9)] == SCHRODER_ROW
     for n in range(9):
@@ -94,10 +106,10 @@ def test_criterion_5_subdiagonal_exhaustive():
     _ok(5, "subdiagonality transports and both tallies match the oracle row")
 
 
-def test_criterion_6_per_step_and_never_equals():
-    report = run_checks(["per-step"], 7, workers=1)[0]
+def test_criterion_6_per_step_and_never_equals(sweep):
+    report = sweep["per-step"]
     assert report.failure_count == 0
-    for n in range(2, 8):
+    for n in range(2, 9):
         tally = report.details["case_tallies"][str(n)]
         assert all(tally[label] > 0 for label in tally), (n, tally)
     _ok(6, f"per-index equivalence over {report.total_cases} cases; all branches hit")

@@ -503,6 +503,15 @@ class TestRender:
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    # 10**400 overflows int(1.5 * cell), 10**308 the float formatting of the width
+    @pytest.mark.parametrize("cell", [10**400, 10**308], ids=["1e400", "1e308"])
+    def test_too_large_cell_is_usage_error(self, capsys, cell):
+        code, out, err = invoke(capsys, "render", "--word", "EN", "--cell", str(cell))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --cell ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_flags_change_output(self, capsys):
         _, full, _ = invoke(capsys, "render", "--word", "EN", "--labels")
         _, bare, _ = invoke(capsys, "render", "--word", "EN", "--no-grid", "--no-diagonal")

@@ -651,6 +651,16 @@ def _drop_after_n(path):  # words starting with N lose their last interior verte
     return image
 
 
+def _swap_ne(path):  # words ending NE and EN trade images: onto, but none maps back
+    if path.word.endswith(("NE", "EN")):
+        return UNPATCHED_PHI(DelannoyPath(path.word[:-2] + path.word[-1] + path.word[-2]))
+    return UNPATCHED_PHI(path)
+
+
+def _first_for_last(path):  # DNE's image, the last of slice (2, 1), is sent to END's
+    return UNPATCHED_PHI(DelannoyPath("END" if path.word == "DNE" else path.word))
+
+
 UNPATCHED_PHI = harness.phi
 
 
@@ -829,6 +839,57 @@ class TestRankedImageCheck:
             },
             *tail,
         ]
+
+    def test_only_vertex_paths_no_mapped_back_word_hit_are_mapped(self, monkeypatch):
+        # END maps back, so its image is skipped although DNE does not map
+        # back; only DNE's own image, which no word hit, is mapped: 6 words
+        # and 1 vertex path, where a slice-wide verdict mapped all 6 paths
+        mapped = []
+
+        def counted(path):
+            mapped.append(path.word)
+            return _first_for_last(path)
+
+        monkeypatch.setattr(harness, "phi", counted)
+        _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
+        assert len(mapped) == 7 and mapped[6] == "DNE"
+        assert [record["kind"] for record in failures.records] == [
+            "inverse_roundtrip", "forward_roundtrip", "image_set"
+        ]
+
+    @pytest.mark.parametrize(
+        "corrupted_phi", [_collide_ne, _drop_after_n, _first_for_last, _swap_ne]
+    )
+    def test_every_skipped_vertex_path_passes_its_roundtrip(self, monkeypatch, corrupted_phi):
+        mapped = []
+
+        def recording(path):
+            mapped.append(path.word)
+            return corrupted_phi(path)
+
+        monkeypatch.setattr(harness, "phi", recording)
+        monkeypatch.setattr(harness, "FAILURE_CAP", 10**6)
+        skipped_in_failing_units = 0
+        for n in range(6):
+            for k in range(n + 1):
+                mapped.clear()
+                _, failures, _ = harness._unit(("roundtrip",), (n, k))[0]
+                # phi_inverse is a bijection, so its word names the vertex path
+                mapped_back = set(mapped[count_delannoy_by_e(n, k):])
+                expected = []
+                for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
+                    word = harness.phi_inverse(kpath)
+                    back = corrupted_phi(word)
+                    if back != kpath:
+                        vertices = [list(v) for v in kpath.vertices]
+                        expected.append(_forward(n, k, vertices, [list(v) for v in back.vertices]))
+                    if word.word not in mapped_back:
+                        assert back == kpath, (n, k, word.word)
+                        skipped_in_failing_units += failures.count > 0
+                # every failing roundtrip is still recorded, in enumeration order
+                forward = [r for r in failures.records if r["kind"] == "forward_roundtrip"]
+                assert forward == expected
+        assert skipped_in_failing_units > 0
 
     def test_unit_memory_is_under_64_bytes_per_path(self):
         unit = (6, 4)
