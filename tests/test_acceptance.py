@@ -74,7 +74,7 @@ def test_criterion_2_bijection_exhaustive(sweep):
     assert report.failure_count == 0
     assert report.total_cases == 650_882  # includes the 531,458 top-size cases
     assert report.elapsed_ms < 30_000
-    _ok(2, f"roundtrip over {report.total_cases} cases in {report.elapsed_ms:.0f} ms")
+    _ok(2, f"roundtrip over {report.total_cases} cases; fused sweep {report.elapsed_ms:.0f} ms")
 
 
 def test_criterion_3_refined_counts(sweep):

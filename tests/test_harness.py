@@ -840,10 +840,10 @@ class TestRankedImageCheck:
             *tail,
         ]
 
-    def test_only_vertex_paths_no_mapped_back_word_hit_are_mapped(self, monkeypatch):
-        # END maps back, so its image is skipped although DNE does not map
-        # back; only DNE's own image, which no word hit, is mapped: 6 words
-        # and 1 vertex path, where a slice-wide verdict mapped all 6 paths
+    def test_a_failing_unit_skips_each_proved_roundtrip(self, monkeypatch):
+        # END maps back, so its image is skipped although DNE, which shares
+        # it, does not; only DNE's own image, which no word hit, is mapped
+        # back, so phi maps the 6 words and 1 of the 6 vertex paths
         mapped = []
 
         def counted(path):
@@ -861,6 +861,8 @@ class TestRankedImageCheck:
         "corrupted_phi", [_collide_ne, _drop_after_n, _first_for_last, _swap_ne]
     )
     def test_every_skipped_vertex_path_passes_its_roundtrip(self, monkeypatch, corrupted_phi):
+        # the corrupted phi itself, outside the harness, must send each vertex
+        # path the unit did not map back through phi_inverse to the path again
         mapped = []
 
         def recording(path):
@@ -878,13 +880,13 @@ class TestRankedImageCheck:
                 mapped_back = set(mapped[count_delannoy_by_e(n, k):])
                 expected = []
                 for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
-                    word = harness.phi_inverse(kpath)
-                    back = corrupted_phi(word)
+                    word = harness.phi_inverse(kpath).word
+                    back = corrupted_phi(DelannoyPath(word))
                     if back != kpath:
                         vertices = [list(v) for v in kpath.vertices]
                         expected.append(_forward(n, k, vertices, [list(v) for v in back.vertices]))
-                    if word.word not in mapped_back:
-                        assert back == kpath, (n, k, word.word)
+                    if word not in mapped_back:
+                        assert back == kpath, (n, k, word)
                         skipped_in_failing_units += failures.count > 0
                 # every failing roundtrip is still recorded, in enumeration order
                 forward = [r for r in failures.records if r["kind"] == "forward_roundtrip"]
