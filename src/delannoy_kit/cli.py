@@ -130,7 +130,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_unmap(args: argparse.Namespace) -> int:
     kpath = parse_vertex_text(args.vertices)
-    word = phi_inverse(kpath)
+    try:
+        word = phi_inverse(kpath)
+    except (MemoryError, OverflowError):  # the height scan's list of n + 1 slots
+        x, y = kpath.endpoint
+        raise LatticeError(f"endpoint ({x},{y}) is too far to unmap") from None
     n, k = central_index(word)
     if args.debug:
         a, b, c, merged = inverse_parts(kpath)

@@ -9,14 +9,16 @@ per-path rewrite: Algorithm L over every letter of the word
 (``all_below_endpoint_chord``), and the inverse that scanned heights from
 the interior's x and y maps (``scan_phi_inverse``, ``scan_inverse_parts``).
 The segment-sampling subdiagonal checks, which corroborate that testing
-vertices alone loses nothing between them.  And the validated A/B/C merge API, which the package no
-longer calls: ``merge_tagged`` runs ``height_slots``, the scan over A and B
-values, on arbitrary inputs, ``bisect_merge_tagged`` is the interleave-and-insert merge it
-replaced.  And the parsers that checked outside input beside the path
-constructors: ``make_kimberling`` held the vertex pair rule, and
-``parse_step_word`` scanned the alphabet itself.  And ``parse_vertex_text``
-as it was before compact input took a JSON fast path: one regex match and
-two ``int`` calls per ``(x,y)`` chunk.
+vertices alone loses nothing between them.  And the inverse as the paper
+states it, which the package no longer runs: ``bisect_merge_tagged``
+interleaves A and B, then inserts each C value, after checking the three
+inputs (``OverlappingAC`` when A and C share a value), and
+``inverse_parts`` and ``phi_inverse`` read a path through that merge.
+And the parsers that checked outside input beside the path constructors:
+``make_kimberling`` held the vertex pair rule, and ``parse_step_word``
+scanned the alphabet itself.  And ``parse_vertex_text`` as it was before
+compact input took a JSON fast path: one regex match and two ``int``
+calls per ``(x,y)`` chunk.
 """
 
 import json
@@ -24,7 +26,6 @@ import math
 import random
 import re
 from bisect import bisect_left, bisect_right
-from functools import partial
 from itertools import accumulate
 from operator import itemgetter
 
@@ -47,7 +48,6 @@ from delannoy_kit.bijection import _LETTERS_TO_TAGS
 from delannoy_kit.geometry import diagonal_flags
 from delannoy_kit.lattice_core import _image_order
 
-LETTER_TO_TAG = {"N": "A", "E": "B", "D": "C"}
 TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
 
 
@@ -156,22 +156,6 @@ def _validated_parts(a_set, b_multiset, c_set):
     if overlap:
         raise OverlappingAC(overlap)
     return a, b, c
-
-
-def merge_tagged(a_set, b_multiset, c_set):
-    """Merge A, B and C into weakly increasing order, A and C ahead of equal B.
-
-    ``a_set`` and ``c_set`` must be strictly increasing with values >= 1
-    and disjoint from each other; ``b_multiset`` must be weakly increasing.
-    Ranking the A and C values 1..m, and giving each B value the rank of
-    the largest A or C value not above it, reduces the merge to the height
-    scan of the inverse.
-    """
-    a, b, c = _validated_parts(a_set, b_multiset, c_set)
-    heights = sorted(a + c)
-    rank = partial(bisect_right, heights)
-    letters = "".join(height_slots(len(heights), map(rank, a), map(rank, b)))
-    return [(v, LETTER_TO_TAG[ch]) for v, ch in zip(sorted(a + b + c), letters)]
 
 
 def tagged_to_word(tagged):

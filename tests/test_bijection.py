@@ -1,12 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import OverlappingAC, merge_tagged, tagged_to_word
-
 from delannoy_kit import (
     BadEndpoint,
     KimberlingPath,
-    LatticeError,
     NotCentral,
     central_index,
     enumerate_delannoy,
@@ -97,74 +94,16 @@ class TestPhi:
 
 
 class TestMergeTagged:
-    def test_worked_example(self):
-        merged = merge_tagged([1, 3, 4, 5, 8], [1, 1, 5, 7, 7], [2, 6, 7])
-        assert " ".join(f"{v}{t}" for v, t in merged) == WORKED_MERGED
-
-    def test_insert_into_empty(self):
-        assert merge_tagged([], [], [1]) == [(1, "C")]
-
-    def test_a_before_equal_b(self):
-        merged = merge_tagged([1], [0, 1], [])
-        assert merged == [(0, "B"), (1, "A"), (1, "B")]
-
-    def test_c_before_equal_b(self):
-        merged = merge_tagged([], [3, 3], [3])
-        assert [t for _, t in merged] == ["C", "B", "B"]
-
-    def test_overlapping_a_c_rejected(self):
-        with pytest.raises(OverlappingAC) as exc:
-            merge_tagged([1, 2], [0], [2, 3])
-        assert exc.value.overlap == {2}
-
-    def test_rejects_unsorted_inputs(self):
-        with pytest.raises(LatticeError):
-            merge_tagged([2, 1], [], [])
-        with pytest.raises(LatticeError):
-            merge_tagged([], [1, 0], [])
-        with pytest.raises(LatticeError):
-            merge_tagged([1, 1], [], [])
-
-    def test_rejects_nonpositive_a_or_c(self):
-        with pytest.raises(LatticeError):
-            merge_tagged([0], [], [])
-        with pytest.raises(LatticeError):
-            merge_tagged([], [], [0])
-
-    def test_tagged_to_word_substitution(self):
-        merged = merge_tagged([1, 3, 4, 5, 8], [1, 1, 5, 7, 7], [2, 6, 7])
-        assert tagged_to_word(merged) == WORKED_WORD
-
     @pytest.mark.parametrize("n", range(5))
     def test_merge_inverts_labeling_exhaustively(self, n):
-        # merging a central path's grouped labels must reproduce the
-        # word-order tagged reading of that same path
+        # the inverse's merge of a central path's image must reproduce the
+        # word-order tagged reading of that same path, and its A, B and C
+        # value groups must be the path's north, east and diagonal labels
         for path in enumerate_delannoy(n):
-            merged = merge_tagged(*step_labels(path))
+            merged = inverse_parts(phi(path))[3]
             assert merged == word_order_tagged(path.word)
-
-    @given(
-        heights=st.sets(st.integers(1, 12), max_size=8),
-        mask=st.lists(st.booleans(), min_size=8, max_size=8),
-        b_values=st.lists(st.integers(0, 12), max_size=8),
-    )
-    def test_merge_shape_properties(self, heights, mask, b_values):
-        ordered = sorted(heights)
-        a = [v for v, keep in zip(ordered, mask) if keep]
-        c = [v for v, keep in zip(ordered, mask) if not keep]
-        b = sorted(b_values)
-        merged = merge_tagged(a, b, c)
-        values = [v for v, _ in merged]
-        assert values == sorted(values)
-        assert len(merged) == len(a) + len(b) + len(c)
-        assert [v for v, t in merged if t == "A"] == a
-        assert [v for v, t in merged if t == "B"] == b
-        assert [v for v, t in merged if t == "C"] == c
-        # among entries of one value, every A and C precedes every B
-        for value in set(values):
-            tags = [t for v, t in merged if v == value]
-            first_b = tags.index("B") if "B" in tags else len(tags)
-            assert all(tag == "B" for tag in tags[first_b:])
+            groups = tuple([v for v, t in merged if t == tag] for tag in "ABC")
+            assert step_labels(path) == groups
 
 
 class TestPhiInverse:

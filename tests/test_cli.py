@@ -63,6 +63,12 @@ CLASSIFY_512_SHA256 = "ea32dbd3d3b14adfbfa3dfefd2c829282c27ba5360c0ed457f124bfc1
 RENDER_LABELS_SHA256 = "4711e3d4cfffc7edb160235cff691bc75f04a3152b49929a92fbff4a767ac95d"
 
 
+# one-step paths whose order makes ``["D"] * (n + 1)`` raise MemoryError (2**61)
+# or OverflowError (10**23) at once; an order near 10**9 would really allocate
+FAR_ORDERS = [2**61, 10**23]
+FAR_ENDPOINTS = [f"(0,0);({n + 1},{n})" for n in FAR_ORDERS]
+
+
 def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -182,6 +188,12 @@ class TestMapUnmap:
         assert (code, out) == (2, "")
         assert err.startswith("error: bad vertex JSON") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", FAR_ORDERS, ids=["2**61", "10**23"])
+    @pytest.mark.parametrize("debug", [[], ["--debug"]], ids=["plain", "debug"])
+    def test_unmap_rejects_an_endpoint_too_far_to_scan(self, capsys, n, debug):
+        code, out, err = invoke(capsys, "unmap", f"(0,0);({n + 1},{n})", *debug)
+        assert (code, out, err) == (2, "", f"error: endpoint ({n + 1},{n}) is too far to unmap\n")
 
     def test_unmap_rejects_bool_coordinates(self, capsys):
         # and the other entries that are not a pair of integers: a non-pair, a float
@@ -606,7 +618,7 @@ sys.exit(f"imported outside the standard library: {outside}" if outside else 0)
 
     def test_python_dash_m_entry_point(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        path = [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         done = subprocess.run(
             [sys.executable, "-m", "delannoy_kit", "count", "schroder", "--n", "8"],
@@ -618,7 +630,7 @@ sys.exit(f"imported outside the standard library: {outside}" if outside else 0)
         # as `enumerate delannoy --n 7 | head -1`: about 0.5 MB of words, far
         # more than a pipe buffers, so the writer meets the closed pipe
         src = str(Path(__file__).resolve().parents[1] / "src")
-        path = [src] + [os.environ["PYTHONPATH"]] * ("PYTHONPATH" in os.environ)
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         child = subprocess.Popen(
             [sys.executable, "-m", "delannoy_kit", "enumerate", "delannoy", "--n", "7"],
@@ -722,7 +734,11 @@ VERTEX_TEXT = st.one_of(
 # beyond n = 3.
 CLI_ARGV = {
     "map": _argv(st.just(["map"]), _one(WORD), st.sampled_from([[], ["--debug"], ["--compact"]])),
-    "unmap": _argv(st.just(["unmap"]), _one(VERTEX_TEXT), st.sampled_from([[], ["--debug"]])),
+    "unmap": _argv(
+        st.just(["unmap"]),
+        _one(st.one_of(VERTEX_TEXT, st.sampled_from(FAR_ENDPOINTS))),
+        st.sampled_from([[], ["--debug"]]),
+    ),
     "classify": _argv(st.just(["classify"]), _opt("--word", WORD)),
     "render": _argv(
         st.just(["render"]),

@@ -3,8 +3,8 @@ kernels of the sweep (head-and-tail enumeration, the chord loop, the
 height scan from the vertex tuple), the ratio-updated sampler, the
 templated ``classify`` output, the path constructors' own input checks
 and the compact vertex parse against the implementations they replaced,
-kept in ``reference.py``; the height scan as an A/B/C merge against the
-bisect merge; and the sampled paths beyond the exhaustive range."""
+kept in ``reference.py``; the package's inverse against the bisect merge
+of A, B and C; and the sampled paths beyond the exhaustive range."""
 
 import contextlib
 import io
@@ -18,7 +18,6 @@ import reference
 from delannoy_kit import (
     DelannoyPath,
     KimberlingPath,
-    LatticeError,
     enumerate_delannoy,
     enumerate_delannoy_by_e,
     enumerate_kimberling,
@@ -110,32 +109,6 @@ def _outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return type(exc), exc.args, vars(exc)
-
-
-@given(
-    heights=st.sets(st.integers(1, 14), max_size=10),
-    mask=st.lists(st.booleans(), min_size=10, max_size=10),
-    b_values=st.lists(st.integers(-2, 16), max_size=10),
-)
-def test_merge_matches_reference_on_disjoint_inputs(heights, mask, b_values):
-    ordered = sorted(heights)
-    a = [v for v, keep in zip(ordered, mask) if keep]
-    c = [v for v, keep in zip(ordered, mask) if not keep]
-    b = sorted(b_values)
-    assert reference.merge_tagged(a, b, c) == reference.bisect_merge_tagged(a, b, c)
-
-
-@given(
-    a=st.lists(st.integers(-1, 6), max_size=5),
-    b=st.lists(st.integers(-1, 6), max_size=5),
-    c=st.lists(st.integers(-1, 6), max_size=5),
-)
-def test_merge_matches_reference_on_any_inputs(a, b, c):
-    # unsorted, repeated, nonpositive and overlapping inputs must raise the
-    # same error, with the same message, as the reference
-    assert _outcome(reference.merge_tagged, a, b, c) == _outcome(
-        reference.bisect_merge_tagged, a, b, c
-    )
 
 
 @pytest.mark.parametrize("n", [50, 200, 500])
