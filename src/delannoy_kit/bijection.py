@@ -25,6 +25,8 @@ of equal B values.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+
 from .lattice_core import (
     DelannoyPath,
     KimberlingPath,
@@ -102,6 +104,24 @@ def _height_slots(kpath: KimberlingPath) -> list[str]:
     return slots
 
 
+def _merge_parts(
+    kpath: KimberlingPath, slots: list[str]
+) -> tuple[list[int], list[int], list[int], list[int], str]:
+    """A, B, C, the merge's values and its tag string, read from the path's
+    ``_height_slots``.
+
+    The values are A, B and C sorted together; the tags, one letter per
+    value, spell the slots through N -> A, E -> B, D -> C.
+    """
+    interior = kpath.vertices[1:-1]
+    a = [x for x, _ in interior]
+    b = [y for _, y in interior]
+    c = list(compress(range(len(slots)), map(str.startswith, slots, repeat("D"))))
+    # the slots spell the merge's tags in the order of its values, A, B and C sorted
+    tags = "".join(slots).translate(_LETTERS_TO_TAGS)
+    return a, b, c, sorted(a + b + c), tags
+
+
 def inverse_parts(
     kpath: KimberlingPath,
 ) -> tuple[list[int], list[int], list[int], list[tuple[int, str]]]:
@@ -112,14 +132,8 @@ def inverse_parts(
     merge is a list of (value, tag) pairs, tag "A", "B" or "C".  Raises
     ``BadEndpoint`` when the terminal vertex has no (n+1, n) shape.
     """
-    slots = _height_slots(kpath)
-    interior = kpath.vertices[1:-1]
-    a = [x for x, _ in interior]
-    b = [y for _, y in interior]
-    c = [h for h, slot in enumerate(slots) if slot[:1] == "D"]
-    # the slots spell the merge's tags in the order of its values, A, B and C sorted
-    tags = "".join(slots).translate(_LETTERS_TO_TAGS)
-    return a, b, c, list(zip(sorted(a + b + c), tags))
+    a, b, c, values, tags = _merge_parts(kpath, _height_slots(kpath))
+    return a, b, c, list(zip(values, tags))
 
 
 def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:

@@ -208,6 +208,10 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     words = vertex_paths = subdiagonal_words = subdiagonal_vertex_paths = 0
     image_flag = False  # stays False unless subdiagonal is asked
     tally = {label: 0 for label in CASE_LABELS}
+    # per-step's East steps by (d_north, d_east), classified once per pair at
+    # the end; a word of the slice has n - k D steps
+    pair_counts = [[0] * (n - k + 1) for _ in range(n - k + 1)]
+    width = n + 1  # of the image, which ends at (n + 1, n)
     if roundtrip:
         ranks = _SliceRank(n, k)
         # 0 for an unhit rank, 1 if the last word to hit it does not map back
@@ -255,7 +259,7 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 # when both pass.  Calling it, which builds two tuples per word,
                 # made this loop over n <= 8 take twice as long (2.4 s against
                 # 1.1 s), and the benchmark times per-step alone.
-                side = y * (n + 1) - x * n
+                side = y * width - x * n
                 if (py >= px) != (side > 0) or not side:
                     # north labels rise strictly, so x names its East index
                     east_index = north.index(x) + 1
@@ -274,7 +278,12 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                             east_index=east_index,
                             interior_vertex=[x, y],
                         )
-                tally[classify_d_counts(d_north, d_east)] += 1
+                pair_counts[d_north][d_east] += 1
+
+    for d_north, row in enumerate(pair_counts):
+        for d_east, steps in enumerate(row):
+            if steps:
+                tally[classify_d_counts(d_north, d_east)] += steps
 
     if roundtrip or counts or subdiagonal:
         for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):

@@ -2,7 +2,8 @@
 
 Earlier implementations: the package's k-slice enumerator (Algorithm L),
 its inverse (a height scan), its ratio-updated sampler and the templated
-``classify`` output replaced these; tests compare the two outputs exactly.
+``classify`` and ``unmap --debug`` outputs replaced these; tests compare the
+two outputs exactly.
 The kernels they in turn replaced, as they were before the sweep's
 per-path rewrite: Algorithm L over every letter of the word
 (``algorithm_l_words``), the chord test as one ``all()``
@@ -13,7 +14,9 @@ vertices alone loses nothing between them.  And the inverse as the paper
 states it, which the package no longer runs: ``bisect_merge_tagged``
 interleaves A and B, then inserts each C value, after checking the three
 inputs (``OverlappingAC`` when A and C share a value), and
-``inverse_parts`` and ``phi_inverse`` read a path through that merge.
+``inverse_parts`` and ``phi_inverse`` read a path through that merge;
+``unmap_debug_json`` formats that merge as ``unmap --debug`` did when it
+encoded a payload dict with ``json.dumps``.
 And the parsers that checked outside input beside the path constructors:
 ``make_kimberling`` held the vertex pair rule, and ``parse_step_word``
 scanned the alphabet itself.  And ``parse_vertex_text`` as it was before
@@ -328,6 +331,25 @@ def classify_json(text):
         "east_steps": steps,
     }
     return json.dumps(payload, indent=2)
+
+
+def unmap_debug_json(kpath):
+    """``unmap --debug``'s stdout, less the newline, as the CLI built it
+    before its template: a payload of this module's inverse, with each merge
+    entry as one string, encoded by ``json.dumps`` with compact separators."""
+    word = phi_inverse(kpath)
+    n, k = central_index(word)
+    a, b, c, merged = inverse_parts(kpath)
+    payload = {
+        "word": word.word,
+        "n": n,
+        "k": k,
+        "A": a,
+        "B": b,
+        "C": c,
+        "merged": [f"{v}{t}" for v, t in merged],
+    }
+    return json.dumps(payload, separators=(",", ":"))
 
 
 _WORD_RE = re.compile(r"[END]*\Z")

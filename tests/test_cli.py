@@ -122,6 +122,23 @@ class TestMapUnmap:
         assert invoke(capsys, "map", WORKED_WORD, "--debug")[0] == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("debug", [[], ["--debug"]], ids=["plain", "debug"])
+    def test_unmap_scans_the_heights_once(self, capsys, monkeypatch, debug):
+        # counted wherever cli or phi_inverse and inverse_parts look it up
+        calls = []
+
+        def counted(original):
+            def wrapper(*args):
+                calls.append(args)
+                return original(*args)
+
+            return wrapper
+
+        for module in (cli, bijection):
+            monkeypatch.setattr(module, "_height_slots", counted(module._height_slots))
+        assert invoke(capsys, "unmap", WORKED_JSON, *debug)[0] == 0
+        assert len(calls) == 1
+
     def test_unmap_json_input(self, capsys):
         code, out, err = invoke(capsys, "unmap", WORKED_JSON)
         assert code == 0

@@ -1,14 +1,17 @@
 """The Algorithm L enumerator, the height-scan inverse, the per-path
 kernels of the sweep (head-and-tail enumeration, the chord loop, the
 height scan from the vertex tuple), the ratio-updated sampler, the
-templated ``classify`` output, the path constructors' own input checks
-and the compact vertex parse against the implementations they replaced,
-kept in ``reference.py``; the package's inverse against the bisect merge
-of A, B and C; and the sampled paths beyond the exhaustive range."""
+templated ``classify`` and ``unmap --debug`` outputs, the path
+constructors' own input checks and the compact vertex parse against the
+implementations they replaced, kept in ``reference.py``; the package's
+inverse against the bisect merge of A, B and C; and the sampled paths
+beyond the exhaustive range."""
 
 import contextlib
 import io
 import json
+import math
+import random
 from itertools import accumulate, islice
 
 import pytest
@@ -133,6 +136,35 @@ def test_classify_matches_json_dumps_reference(data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert run(["classify", "--word", word]) == 0
     assert (out.getvalue(), err.getvalue()) == (reference.classify_json(word) + "\n", "")
+
+
+def _assert_unmap_debug_matches_json_dumps_reference(kpath):
+    n, k = kpath.endpoint[1], len(kpath.interior)
+    expected = (0, reference.unmap_debug_json(kpath) + "\n", f"n={n} k={k}\n")
+    json_text = json.dumps([list(v) for v in kpath.vertices])
+    compact_text = ";".join(f"({x},{y})" for x, y in kpath.vertices)
+    for text in (json_text, compact_text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["unmap", text, "--debug"])
+        assert (code, out.getvalue(), err.getvalue()) == expected, text
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_unmap_debug_matches_json_dumps_reference(n):
+    # n = 0 included: A, B, C and the merge are all empty
+    for kpath in enumerate_kimberling(n + 1, n):
+        _assert_unmap_debug_matches_json_dumps_reference(kpath)
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_unmap_debug_matches_json_dumps_reference_at_large_orders(n):
+    # a seeded shuffle of a word with round(n / sqrt 2) East steps, the shape
+    # of the slowest CLI request: at n = 16384, 11,585 interior vertices
+    k = round(n / math.sqrt(2))
+    letters = list("D" * (n - k) + "E" * k + "N" * k)
+    random.Random(n).shuffle(letters)
+    _assert_unmap_debug_matches_json_dumps_reference(phi(DelannoyPath("".join(letters))))
 
 
 _COORDINATE = st.one_of(
