@@ -21,7 +21,6 @@ from .lattice_core import (
     path_vertices,
 )
 from .bijection import (
-    inverse_parts,
     phi,
     phi_inverse,
     step_labels,
@@ -74,7 +73,6 @@ __all__ = [
     "enumerate_delannoy_by_e",
     "enumerate_kimberling",
     "enumerate_kimberling_by_vertices",
-    "inverse_parts",
     "is_subdiagonal_delannoy",
     "is_subdiagonal_kimberling",
     "parse_step_word",

@@ -18,14 +18,13 @@ Each height level 1..n is reached exactly once, by an N step (heights in
 A) or by a D step (heights in C), which is why A and C partition {1..n}.
 The word is therefore a scan over the heights: one E per B value equal to
 0, then for each h = 1..n an N if h is in A, else a D, followed by one E
-per B value equal to h.  The same scan, tagging A -> N, B -> E, C -> D,
-is the merge of A, B and C into weakly increasing order with A and C ahead
-of equal B values.
+per B value equal to h.  ``phi_inverse`` is that scan and the one place
+it runs.  The same word, tagging N -> A, E -> B, D -> C, is the merge of
+A, B and C into weakly increasing order with A and C ahead of equal B
+values, which ``_merge_parts`` reads for ``unmap --debug``.
 """
 
 from __future__ import annotations
-
-from itertools import compress, repeat
 
 from .lattice_core import (
     DelannoyPath,
@@ -84,14 +83,33 @@ def _pair_labels(north: list[int], east: list[int], diagonal: list[int]) -> Kimb
     return _unchecked_vertices(((0, 0), *zip(north, east), (n + 1, n)))
 
 
-def _height_slots(kpath: KimberlingPath) -> list[str]:
-    """The height scan of a path to (n+1, n): slot h spells the steps that end at height h.
+def _merge_parts(
+    kpath: KimberlingPath, word: DelannoyPath
+) -> tuple[list[int], list[int], list[int], list[int], str]:
+    """A, B, C, the merge's values and its tag string for a path to (n+1, n)
+    and its word ``phi_inverse(kpath)``.
 
-    Slot 0 is one E per interior vertex at height 0; slot h (1..n) is N when
-    an interior vertex has x = h, else D, followed by one E per interior
-    vertex at height h.  Joined, the slots spell the word; read back as tags
-    (N -> A, E -> B, D -> C) they give the merge order.  Raises
-    ``BadEndpoint`` when the terminal vertex has no (n+1, n) shape.
+    A and B are the interior's x's and y's, C the heights 1..n not in A.
+    The values are A, B and C sorted together; the tags, one letter per
+    value, spell the word through N -> A, E -> B, D -> C.
+    """
+    interior = kpath.vertices[1:-1]
+    a = [x for x, _ in interior]
+    b = [y for _, y in interior]
+    present = set(a)
+    c = [h for h in range(1, kpath.endpoint[1] + 1) if h not in present]
+    return a, b, c, sorted(a + b + c), word.word.translate(_LETTERS_TO_TAGS)
+
+
+def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:
+    """Invert the map for a path ending at (n+1, n) by scanning its heights.
+
+    Slot h spells the steps that end at height h: slot 0 is one E per
+    interior vertex at height 0; slot h (1..n) is N when an interior vertex
+    has x = h, else D, followed by one E per interior vertex at height h.
+    Joined, the slots spell the word, which is central with index
+    (n, #interior vertices).  Raises ``BadEndpoint`` when the terminal
+    vertex has no such shape.
     """
     slots = ["D"] * (_image_order(kpath) + 1)
     slots[0] = ""
@@ -101,46 +119,5 @@ def _height_slots(kpath: KimberlingPath) -> list[str]:
         slots[x] = "N"
     for _, y in interior:
         slots[y] += "E"
-    return slots
-
-
-def _merge_parts(
-    kpath: KimberlingPath, slots: list[str]
-) -> tuple[list[int], list[int], list[int], list[int], str]:
-    """A, B, C, the merge's values and its tag string, read from the path's
-    ``_height_slots``.
-
-    The values are A, B and C sorted together; the tags, one letter per
-    value, spell the slots through N -> A, E -> B, D -> C.
-    """
-    interior = kpath.vertices[1:-1]
-    a = [x for x, _ in interior]
-    b = [y for _, y in interior]
-    c = list(compress(range(len(slots)), map(str.startswith, slots, repeat("D"))))
-    # the slots spell the merge's tags in the order of its values, A, B and C sorted
-    tags = "".join(slots).translate(_LETTERS_TO_TAGS)
-    return a, b, c, sorted(a + b + c), tags
-
-
-def inverse_parts(
-    kpath: KimberlingPath,
-) -> tuple[list[int], list[int], list[int], list[tuple[int, str]]]:
-    """The A, B, C sequences and merged tagged sequence for a path to (n+1, n).
-
-    A is the sorted list of interior x-coordinates, B the weakly increasing
-    interior y-coordinates, C the ascending complement {1..n} \\ A.  The
-    merge is a list of (value, tag) pairs, tag "A", "B" or "C".  Raises
-    ``BadEndpoint`` when the terminal vertex has no (n+1, n) shape.
-    """
-    a, b, c, values, tags = _merge_parts(kpath, _height_slots(kpath))
-    return a, b, c, list(zip(values, tags))
-
-
-def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:
-    """Invert the map for a path ending at (n+1, n).
-
-    Raises ``BadEndpoint`` when the terminal vertex has no such shape.
-    The result is central with index (n, #interior vertices).
-    """
-    # the height slots hold only the letters D, N and E
-    return _unchecked_word("".join(_height_slots(kpath)))
+    # the slots hold only the letters D, N and E
+    return _unchecked_word("".join(slots))

@@ -16,7 +16,7 @@ import re
 import sys
 from typing import Sequence
 
-from .bijection import _height_slots, _merge_parts, _pair_labels, phi, step_labels
+from .bijection import _merge_parts, _pair_labels, phi, phi_inverse, step_labels
 from .counting import (
     count_delannoy,
     count_delannoy_by_e,
@@ -41,7 +41,6 @@ from .harness import CHECKS, DEFAULT_N_MAX, run_checks
 from .lattice_core import (
     KimberlingPath,
     LatticeError,
-    _unchecked_word,
     central_index,
     parse_step_word,
 )
@@ -137,15 +136,13 @@ def _cmd_map(args: argparse.Namespace) -> int:
 def _cmd_unmap(args: argparse.Namespace) -> int:
     kpath = parse_vertex_text(args.vertices)
     try:
-        slots = _height_slots(kpath)
-    except (MemoryError, OverflowError):  # the height scan's list of n + 1 slots
+        word = phi_inverse(kpath)
+    except (MemoryError, OverflowError):  # phi_inverse's list of n + 1 height slots
         x, y = kpath.endpoint
         raise LatticeError(f"endpoint ({x},{y}) is too far to unmap") from None
-    # the height slots hold only the letters D, N and E, as in phi_inverse
-    word = _unchecked_word("".join(slots))
     n, k = central_index(word)
     if args.debug:
-        a, b, c, values, tags = _merge_parts(kpath, slots)
+        a, b, c, values, tags = _merge_parts(kpath, word)
         # zip reuses its result tuple once unpacked, so no list of pairs is built;
         # at n = 16384 an f-string per entry took 4.7 ms and '"%d%s"' % pair 11 ms
         # (Python 3.11, 2 vCPUs)

@@ -8,7 +8,7 @@ The kernels they in turn replaced, as they were before the sweep's
 per-path rewrite: Algorithm L over every letter of the word
 (``algorithm_l_words``), the chord test as one ``all()``
 (``all_below_endpoint_chord``), and the inverse that scanned heights from
-the interior's x and y maps (``scan_phi_inverse``, ``scan_inverse_parts``).
+the interior's x and y maps (``scan_phi_inverse``).
 The segment-sampling subdiagonal checks, which corroborate that testing
 vertices alone loses nothing between them.  And the inverse as the paper
 states it, which the package no longer runs: ``bisect_merge_tagged``
@@ -47,7 +47,6 @@ from delannoy_kit import (
     phi,
     walk_east_steps,
 )
-from delannoy_kit.bijection import _LETTERS_TO_TAGS
 from delannoy_kit.geometry import diagonal_flags
 from delannoy_kit.lattice_core import _image_order
 
@@ -127,16 +126,6 @@ def height_slots(n, a, b):
     for y in b:
         slots[y] += "E"
     return slots
-
-
-def scan_inverse_parts(kpath):
-    """A, B, C and the merged tagged sequence, read from the interior's maps."""
-    a = [x for x, _ in kpath.interior]
-    b = [y for _, y in kpath.interior]
-    slots = height_slots(_image_order(kpath), a, b)
-    c = [h for h, slot in enumerate(slots) if slot[:1] == "D"]
-    tags = "".join(slots).translate(_LETTERS_TO_TAGS)
-    return a, b, c, list(zip(sorted(a + b + c), tags))
 
 
 def scan_phi_inverse(kpath):

@@ -8,16 +8,15 @@ from delannoy_kit import (
     central_index,
     enumerate_delannoy,
     enumerate_kimberling,
-    inverse_parts,
     parse_step_word,
     phi,
     phi_inverse,
     step_labels,
 )
+from delannoy_kit.bijection import _merge_parts
 
 WORKED_WORD = "NEEDNNNEDDEEN"
 WORKED_IMAGE = ((0, 0), (1, 1), (3, 1), (4, 5), (5, 7), (8, 7), (9, 8))
-WORKED_MERGED = "1A 1B 1B 2C 3A 4A 5A 5B 6C 7C 7B 7B 8A"
 
 
 def word_order_tagged(word):
@@ -97,13 +96,16 @@ class TestMergeTagged:
     @pytest.mark.parametrize("n", range(5))
     def test_merge_inverts_labeling_exhaustively(self, n):
         # the inverse's merge of a central path's image must reproduce the
-        # word-order tagged reading of that same path, and its A, B and C
-        # value groups must be the path's north, east and diagonal labels
+        # word-order tagged reading of that same path, and A, B and C, read
+        # off the path and as the merge's value groups, must be the path's
+        # north, east and diagonal labels
         for path in enumerate_delannoy(n):
-            merged = inverse_parts(phi(path))[3]
+            image = phi(path)
+            a, b, c, values, tags = _merge_parts(image, phi_inverse(image))
+            merged = list(zip(values, tags, strict=True))
             assert merged == word_order_tagged(path.word)
             groups = tuple([v for v, t in merged if t == tag] for tag in "ABC")
-            assert step_labels(path) == groups
+            assert step_labels(path) == (a, b, c) == groups
 
 
 class TestPhiInverse:
@@ -125,13 +127,6 @@ class TestPhiInverse:
     def test_degenerate_origin_rejected(self):
         with pytest.raises(BadEndpoint):
             phi_inverse(KimberlingPath([(0, 0)]))
-
-    def test_inverse_parts_worked_example(self):
-        a, b, c, merged = inverse_parts(KimberlingPath(list(WORKED_IMAGE)))
-        assert a == [1, 3, 4, 5, 8]
-        assert b == [1, 1, 5, 7, 7]
-        assert c == [2, 6, 7]
-        assert " ".join(f"{v}{t}" for v, t in merged) == WORKED_MERGED
 
 
 class TestRoundTrips:

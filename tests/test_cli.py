@@ -124,7 +124,7 @@ class TestMapUnmap:
 
     @pytest.mark.parametrize("debug", [[], ["--debug"]], ids=["plain", "debug"])
     def test_unmap_scans_the_heights_once(self, capsys, monkeypatch, debug):
-        # counted wherever cli or phi_inverse and inverse_parts look it up
+        # phi_inverse is the one height scan; counted wherever cli and bijection look it up
         calls = []
 
         def counted(original):
@@ -135,7 +135,7 @@ class TestMapUnmap:
             return wrapper
 
         for module in (cli, bijection):
-            monkeypatch.setattr(module, "_height_slots", counted(module._height_slots))
+            monkeypatch.setattr(module, "phi_inverse", counted(module.phi_inverse))
         assert invoke(capsys, "unmap", WORKED_JSON, *debug)[0] == 0
         assert len(calls) == 1
 
@@ -586,7 +586,6 @@ class TestTopLevel:
             "enumerate_delannoy_by_e",
             "enumerate_kimberling",
             "enumerate_kimberling_by_vertices",
-            "inverse_parts",
             "is_subdiagonal_delannoy",
             "is_subdiagonal_kimberling",
             "parse_step_word",

@@ -24,7 +24,6 @@ from delannoy_kit import (
     enumerate_delannoy,
     enumerate_delannoy_by_e,
     enumerate_kimberling,
-    inverse_parts,
     is_subdiagonal_delannoy,
     is_subdiagonal_kimberling,
     phi,
@@ -90,19 +89,12 @@ def test_inverse_matches_interior_scan_on_unchecked_vertices(data):
     interior = data.draw(st.lists(st.tuples(coordinate, coordinate), max_size=n + 2))
     kpath = _unchecked_vertices(((0, 0), *interior, (n + 1, n)))
     assert _any_outcome(phi_inverse, kpath) == _any_outcome(reference.scan_phi_inverse, kpath)
-    assert _any_outcome(inverse_parts, kpath) == _any_outcome(
-        reference.scan_inverse_parts, kpath
-    )
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_inverse_matches_merge_reference_on_every_vertex_path(n):
     for kpath in enumerate_kimberling(n + 1, n):
         assert phi_inverse(kpath) == reference.phi_inverse(kpath)
-        parts = inverse_parts(kpath)
-        expected = reference.inverse_parts(kpath)
-        assert parts == expected
-        assert all(type(t) is tuple for t in parts[3])
 
 
 def _outcome(fn, *args):
