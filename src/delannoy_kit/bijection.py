@@ -1,12 +1,12 @@
 """The bijection between central E/N/D words and vertex paths to (n+1, n).
 
 Forward direction: label every East and North step of a central path with
-the y-coordinate of the step's terminal vertex.  The labels of the N steps
-(in step order) are strictly increasing; the labels of the E steps are
-weakly increasing.  Pairing the i-th N label with the i-th E label gives
-the i-th interior vertex of the image path, which runs from (0, 0) to
-(n+1, n).  ``step_labels`` is that one walk of the word: it returns the
-(north, east, diagonal) label lists, and ``phi`` pairs the first two.
+the y-coordinate of the step's terminal vertex; a D step only raises the
+height.  The labels of the N steps (in step order) are strictly increasing;
+the labels of the E steps are weakly increasing.  Pairing the i-th N label
+with the i-th E label gives the i-th interior vertex of the image path,
+which runs from (0, 0) to (n+1, n).  ``step_labels`` is that one walk of
+the word: it returns the (north, east) label lists, and ``phi`` pairs them.
 
 Inverse direction: from a path ending at (n+1, n), read off
 
@@ -19,9 +19,8 @@ A) or by a D step (heights in C), which is why A and C partition {1..n}.
 The word is therefore a scan over the heights: one E per B value equal to
 0, then for each h = 1..n an N if h is in A, else a D, followed by one E
 per B value equal to h.  ``phi_inverse`` is that scan and the one place
-it runs.  The same word, tagging N -> A, E -> B, D -> C, is the merge of
-A, B and C into weakly increasing order with A and C ahead of equal B
-values, which ``_merge_parts`` reads for ``unmap --debug``.
+it runs.  ``_parts`` reads A, B and C, which on a word's image are its
+north labels, its east labels and the heights of its D steps.
 """
 
 from __future__ import annotations
@@ -35,35 +34,28 @@ from .lattice_core import (
     _unchecked_word,
 )
 
-_LETTERS_TO_TAGS = str.maketrans("NED", "ABC")
 
+def step_labels(path: DelannoyPath) -> tuple[list[int], list[int]]:
+    """Label each North and East step with its terminal y-coordinate: the
+    (north, east) label lists, each in step order.
 
-def step_labels(path: DelannoyPath) -> tuple[list[int], list[int], list[int]]:
-    """Label each step with its terminal y-coordinate: the (north, east,
-    diagonal) label lists, each in step order.
-
-    North labels rise strictly, east labels weakly, diagonal labels
-    strictly; north and diagonal labels together cover the heights 1..n
-    once each.  Only the north and east labels feed the forward map; the
-    inverse reads the diagonal ones back as the complement set C.  Raises
-    ``NotCentral`` unless #E == #N.
+    North labels rise strictly, east labels weakly; a D step only raises
+    the height, so the heights 1..n not among the north labels are the D
+    steps'.  Raises ``NotCentral`` unless #E == #N.
     """
     y = 0
     north: list[int] = []
     east: list[int] = []
-    diagonal: list[int] = []
     for ch in path.word:
         if ch == "E":
             east.append(y)
-        elif ch == "N":
-            y += 1
-            north.append(y)
         else:
             y += 1
-            diagonal.append(y)
+            if ch == "N":
+                north.append(y)
     if len(north) != len(east):
         raise NotCentral(len(east), len(north))
-    return north, east, diagonal
+    return north, east
 
 
 def phi(path: DelannoyPath) -> KimberlingPath:
@@ -73,32 +65,21 @@ def phi(path: DelannoyPath) -> KimberlingPath:
     has exactly k interior vertices, one per East step.  Raises
     ``NotCentral`` for non-central paths.
     """
-    return _pair_labels(*step_labels(path))
-
-
-def _pair_labels(north: list[int], east: list[int], diagonal: list[int]) -> KimberlingPath:
-    """The image path of a central word from its ``step_labels``."""
-    n = len(north) + len(diagonal)
+    north, east = step_labels(path)
+    n = len(path.word) - len(north)
     # N heights rise strictly from >= 1 to <= n, E heights weakly within 0..n
     return _unchecked_vertices(((0, 0), *zip(north, east), (n + 1, n)))
 
 
-def _merge_parts(
-    kpath: KimberlingPath, word: DelannoyPath
-) -> tuple[list[int], list[int], list[int], list[int], str]:
-    """A, B, C, the merge's values and its tag string for a path to (n+1, n)
-    and its word ``phi_inverse(kpath)``.
-
-    A and B are the interior's x's and y's, C the heights 1..n not in A.
-    The values are A, B and C sorted together; the tags, one letter per
-    value, spell the word through N -> A, E -> B, D -> C.
-    """
+def _parts(kpath: KimberlingPath) -> tuple[list[int], list[int], list[int]]:
+    """A, B and C of a path to (n+1, n): the interior's x's and y's, and the
+    heights 1..n not in A."""
     interior = kpath.vertices[1:-1]
     a = [x for x, _ in interior]
     b = [y for _, y in interior]
     present = set(a)
     c = [h for h in range(1, kpath.endpoint[1] + 1) if h not in present]
-    return a, b, c, sorted(a + b + c), word.word.translate(_LETTERS_TO_TAGS)
+    return a, b, c
 
 
 def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:

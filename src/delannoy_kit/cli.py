@@ -16,7 +16,7 @@ import re
 import sys
 from typing import Sequence
 
-from .bijection import _merge_parts, _pair_labels, phi, phi_inverse, step_labels
+from .bijection import _parts, phi, phi_inverse
 from .counting import (
     count_delannoy,
     count_delannoy_by_e,
@@ -70,6 +70,8 @@ _CLASSIFY_STEP = (
 # per merge entry.  A, B and C are integers, the word holds only E/N/D and
 # each merge entry is a value and one tag letter, so nothing needs escaping.
 _UNMAP_DEBUG = '{"word":"%s","n":%d,"k":%d,"A":[%s],"B":[%s],"C":[%s],"merged":[%s]}'
+# a merge entry's tag for each letter of the word
+_LETTERS_TO_TAGS = str.maketrans("NED", "ABC")
 
 # what ``json.dumps(obj, separators=(",", ":"))`` builds on every call, built once
 _dump = json.JSONEncoder(separators=(",", ":")).encode
@@ -116,9 +118,10 @@ def parse_vertex_text(text: str) -> KimberlingPath:
 def _cmd_map(args: argparse.Namespace) -> int:
     path = parse_step_word(args.word)
     n, k = central_index(path)
+    image = phi(path)
     if args.debug:
-        north, east, diagonal = step_labels(path)
-        image = _pair_labels(north, east, diagonal)
+        # the image's A, B and C are the word's north, east and D-step heights
+        north, east, diagonal = _parts(image)
         payload = {
             "vertices": image.vertices,
             "n": n,
@@ -127,7 +130,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
         }
         print(_dump(payload))
     else:
-        image = phi(path)
         print(_vertex_compact(image) if args.compact else _dump(image.vertices))
     print(f"n={n} k={k}", file=sys.stderr)
     return 0
@@ -142,11 +144,13 @@ def _cmd_unmap(args: argparse.Namespace) -> int:
         raise LatticeError(f"endpoint ({x},{y}) is too far to unmap") from None
     n, k = central_index(word)
     if args.debug:
-        a, b, c, values, tags = _merge_parts(kpath, word)
+        a, b, c = _parts(kpath)
+        # the merge is A, B and C sorted together, one tag per letter of the word
+        tags = word.word.translate(_LETTERS_TO_TAGS)
         # zip reuses its result tuple once unpacked, so no list of pairs is built;
         # at n = 16384 an f-string per entry took 4.7 ms and '"%d%s"' % pair 11 ms
         # (Python 3.11, 2 vCPUs)
-        merged = ",".join([f'"{value}{tag}"' for value, tag in zip(values, tags)])
+        merged = ",".join([f'"{value}{tag}"' for value, tag in zip(sorted(a + b + c), tags)])
         a_b_c = [",".join(map(str, part)) for part in (a, b, c)]
         print(_UNMAP_DEBUG % (word.word, n, k, *a_b_c, merged))
     else:

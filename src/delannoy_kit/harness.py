@@ -248,7 +248,7 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
             else:
                 unexpected = _smallest_keys(unexpected, image)
         if per_step:
-            north, east, _ = step_labels(path)
+            north, east = step_labels(path)
             ends, before_north, before_east = walk_east_steps(path.word)
             for (px, py), x, y, d_north, d_east in zip(
                 ends, north, east, before_north, before_east, strict=True

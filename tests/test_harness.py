@@ -385,9 +385,9 @@ class TestGoldenFailureRecords:
         report = self.report("roundtrip", 5, workers)
         assert _without_elapsed(report) == json.dumps(expected)
 
-    # The corrupted per-step runs below are whole per-step reports at n_max = 3,
-    # recorded while step_labels still returned a dataclass; of the patches,
-    # only on_chord_labels depends on step_labels' return shape.
+    # The corrupted per-step runs below are whole per-step reports at n_max = 3;
+    # of the patches, only on_chord_labels depends on step_labels' return shape,
+    # the (north, east) pair of label lists.
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_per_step_with_mirrored_east_ends(self, monkeypatch, workers):
@@ -421,10 +421,10 @@ class TestGoldenFailureRecords:
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_per_step_with_first_vertex_on_chord(self, monkeypatch, workers):
         def on_chord_labels(path):  # words starting with E: first interior vertex (0, 0)
-            north, east, diagonal = original_labels(path)
+            north, east = original_labels(path)
             if path.word.startswith("E"):
-                return [0, *north[1:]], [0, *east[1:]], diagonal
-            return north, east, diagonal
+                return [0, *north[1:]], [0, *east[1:]]
+            return north, east
 
         original_labels = harness.step_labels
         monkeypatch.setattr(harness, "step_labels", on_chord_labels)
