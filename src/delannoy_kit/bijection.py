@@ -6,7 +6,7 @@ height.  The labels of the N steps (in step order) are strictly increasing;
 the labels of the E steps are weakly increasing.  Pairing the i-th N label
 with the i-th E label gives the i-th interior vertex of the image path,
 which runs from (0, 0) to (n+1, n).  ``step_labels`` is that one walk of
-the word: it returns the (north, east) label lists, and ``phi`` pairs them.
+the word: it returns the (north, east) label lists, and ``_image`` pairs them.
 
 Inverse direction: from a path ending at (n+1, n), read off
 
@@ -18,9 +18,10 @@ Each height level 1..n is reached exactly once, by an N step (heights in
 A) or by a D step (heights in C), which is why A and C partition {1..n}.
 The word is therefore a scan over the heights: one E per B value equal to
 0, then for each h = 1..n an N if h is in A, else a D, followed by one E
-per B value equal to h.  ``phi_inverse`` is that scan and the one place
-it runs.  ``_parts`` reads A, B and C, which on a word's image are its
-north labels, its east labels and the heights of its D steps.
+per B value equal to h.  ``_preimage`` is that scan and the one place it
+runs.  ``_parts`` reads A, B and C, which on a word's image are its north
+labels, its east labels and the heights of its D steps.  ``phi`` and
+``phi_inverse`` box what their kernels, ``_image`` and ``_preimage``, return.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from .lattice_core import (
     DelannoyPath,
     KimberlingPath,
+    LatticePoint,
     NotCentral,
     _image_order,
     _unchecked_vertices,
@@ -35,18 +37,18 @@ from .lattice_core import (
 )
 
 
-def step_labels(path: DelannoyPath) -> tuple[list[int], list[int]]:
-    """Label each North and East step with its terminal y-coordinate: the
-    (north, east) label lists, each in step order.
+def step_labels(word: str) -> tuple[list[int], list[int]]:
+    """Label each North and East step of a word string with its terminal
+    y-coordinate: the (north, east) label lists, each in step order.
 
     North labels rise strictly, east labels weakly; a D step only raises
     the height, so the heights 1..n not among the north labels are the D
-    steps'.  Raises ``NotCentral`` unless #E == #N.
+    steps'.  Raises ``NotCentral`` unless #E == #N, and checks nothing else.
     """
     y = 0
     north: list[int] = []
     east: list[int] = []
-    for ch in path.word:
+    for ch in word:
         if ch == "E":
             east.append(y)
         else:
@@ -65,10 +67,15 @@ def phi(path: DelannoyPath) -> KimberlingPath:
     has exactly k interior vertices, one per East step.  Raises
     ``NotCentral`` for non-central paths.
     """
-    north, east = step_labels(path)
-    n = len(path.word) - len(north)
     # N heights rise strictly from >= 1 to <= n, E heights weakly within 0..n
-    return _unchecked_vertices(((0, 0), *zip(north, east), (n + 1, n)))
+    return _unchecked_vertices(_image(path.word))
+
+
+def _image(word: str) -> tuple[LatticePoint, ...]:
+    """The vertex tuple of ``phi`` of a word over E/N/D."""
+    north, east = step_labels(word)
+    n = len(word) - len(north)
+    return ((0, 0), *zip(north, east), (n + 1, n))
 
 
 def _parts(kpath: KimberlingPath) -> tuple[list[int], list[int], list[int]]:
@@ -92,13 +99,18 @@ def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:
     (n, #interior vertices).  Raises ``BadEndpoint`` when the terminal
     vertex has no such shape.
     """
-    slots = ["D"] * (_image_order(kpath) + 1)
+    # the slots hold only the letters D, N and E
+    return _unchecked_word(_preimage(kpath.vertices))
+
+
+def _preimage(vertices: tuple[LatticePoint, ...]) -> str:
+    """The word of ``phi_inverse`` of a vertex tuple of a valid path."""
+    slots = ["D"] * (_image_order(vertices) + 1)
     slots[0] = ""
-    interior = kpath.vertices[1:-1]
+    interior = vertices[1:-1]
     # every N is placed before any E is appended, so an E at height h = x survives
     for x, _ in interior:
         slots[x] = "N"
     for _, y in interior:
         slots[y] += "E"
-    # the slots hold only the letters D, N and E
-    return _unchecked_word("".join(slots))
+    return "".join(slots)

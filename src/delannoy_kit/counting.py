@@ -41,7 +41,6 @@ import random
 from bisect import bisect_right
 from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement, product
-from operator import attrgetter
 from typing import Iterator
 
 from .lattice_core import DelannoyPath, KimberlingPath, _unchecked_vertices, _unchecked_word
@@ -143,17 +142,23 @@ def enumerate_delannoy(n: int) -> Iterator[DelannoyPath]:
     lexicographic order.
     """
     _require_order(n, "enumerate_delannoy")
-    slices = [enumerate_delannoy_by_e(n, k) for k in range(n + 1)]
-    return heapq.merge(*slices, key=attrgetter("word"))
+    # the slices' words are over D, E and N, and merge as strings
+    return map(_unchecked_word, heapq.merge(*[_words_by_e(n, k) for k in range(n + 1)]))
 
 
 def enumerate_delannoy_by_e(n: int, k: int) -> Iterator[DelannoyPath]:
     """Yield the central paths to (n, n) with exactly k East steps, lexicographically.
 
     This is the k-slice of ``enumerate_delannoy(n)`` in the same relative
-    order; the harness uses it to partition sweeps into independent units.
+    order; the harness runs its words, ``_words_by_e``, as one sweep unit.
     """
     _require_order(n, "enumerate_delannoy_by_e")
+    # Algorithm L permutes only the letters D, E and N
+    yield from map(_unchecked_word, _words_by_e(n, k))
+
+
+def _words_by_e(n: int, k: int) -> Iterator[str]:
+    """The words of ``enumerate_delannoy_by_e(n, k)``, as strings, for n >= 0."""
     if not 0 <= k <= n:
         return
     # Algorithm L: the ASCII order of the letters is the order D < E < N.
@@ -162,10 +167,9 @@ def enumerate_delannoy_by_e(n: int, k: int) -> Iterator[DelannoyPath]:
     cut = max(len(word) - TAIL_LETTERS, 0)
     tails = _tail_table(len(word) - cut)
     while True:
-        # the tail word[cut:] is ascending here, which keys its arrangements;
-        # Algorithm L only permutes the letters D, E and N
+        # the tail word[cut:] is ascending here, which keys its arrangements
         tail = word[cut:]
-        yield from map(_unchecked_word, map("".join(word[:cut]).__add__, tails["".join(tail)]))
+        yield from map("".join(word[:cut]).__add__, tails["".join(tail)])
         # the head's last word has its tail descending; step the head from there
         tail.reverse()
         word[cut:] = tail
@@ -203,13 +207,18 @@ def enumerate_kimberling_by_vertices(i: int, j: int, k: int) -> Iterator[Kimberl
         if j == 0 and k == 0:
             yield KimberlingPath(((0, 0),))
         return
+    # x rises strictly within 1..i-1 and y weakly within 0..j
+    yield from map(_unchecked_vertices, _vertex_tuples(i, j, k))
+
+
+def _vertex_tuples(i: int, j: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The vertex tuples of ``enumerate_kimberling_by_vertices(i, j, k)``, for i >= 1."""
     if not 0 <= k <= i - 1:
         return
     end = (i, j)
     for xs in combinations(range(1, i), k):
         for ys in combinations_with_replacement(range(j + 1), k):
-            # x rises strictly within 1..i-1 and y weakly within 0..j
-            yield _unchecked_vertices(((0, 0), *zip(xs, ys), end))
+            yield ((0, 0), *zip(xs, ys), end)
 
 
 def enumerate_kimberling(i: int, j: int) -> Iterator[KimberlingPath]:

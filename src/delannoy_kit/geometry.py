@@ -39,8 +39,13 @@ CASE_LABELS = (CASE_EQUAL, CASE_MORE_BEFORE_EAST, CASE_MORE_BEFORE_NORTH)
 def is_subdiagonal_delannoy(path: DelannoyPath) -> bool:
     """True iff every vertex (X, Y) of a central path satisfies Y <= X."""
     central_index(path)
+    return _word_below_diagonal(path.word)
+
+
+def _word_below_diagonal(word: str) -> bool:
+    """The walk of ``is_subdiagonal_delannoy`` over a word string."""
     x = y = 0
-    for ch in path.word:
+    for ch in word:
         if ch == "E":
             x += 1
         elif ch == "N":
@@ -59,8 +64,13 @@ def is_subdiagonal_kimberling(kpath: KimberlingPath) -> bool:
     Raises ``BadEndpoint`` for any other endpoint; on this family the test
     is ``below_endpoint_chord``.
     """
-    _image_order(kpath)
-    return below_endpoint_chord(kpath)
+    return _image_below_chord(kpath.vertices)
+
+
+def _image_below_chord(vertices: tuple[LatticePoint, ...]) -> bool:
+    """``is_subdiagonal_kimberling`` of a vertex tuple, endpoint rule included."""
+    _image_order(vertices)
+    return _below_chord(vertices)
 
 
 def below_endpoint_chord(kpath: KimberlingPath) -> bool:
@@ -70,7 +80,11 @@ def below_endpoint_chord(kpath: KimberlingPath) -> bool:
     accepts any endpoint, where ``is_subdiagonal_kimberling`` requires one
     of the form (n+1, n).
     """
-    vertices = kpath.vertices
+    return _below_chord(kpath.vertices)
+
+
+def _below_chord(vertices: tuple[LatticePoint, ...]) -> bool:
+    """The loop of ``below_endpoint_chord`` over a vertex tuple."""
     i_end, j_end = vertices[-1]
     for x, y in vertices:  # a plain loop: all() over a generator took 3.5x as long
         if y * i_end > x * j_end:

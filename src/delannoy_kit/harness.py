@@ -20,6 +20,10 @@ count (0 = one per CPU, unset = 1); a sweep starts at most one worker per
 unit and per CPU, so a larger request is capped rather than passed to the
 pool.  Reports are deterministic either way, up to the elapsed field.
 
+A unit builds no path object: on word strings and vertex tuples it runs
+the kernels behind the public API, ``_words_by_e``, ``_vertex_tuples``,
+``_image``, ``_preimage``, ``_word_below_diagonal`` and ``_image_below_chord``.
+
 The roundtrip check's rank-indexed image test is described with ``CHECKS``.
 """
 
@@ -33,19 +37,19 @@ from functools import partial
 from math import comb
 from typing import Any, Callable, Iterable
 
-from .bijection import phi, phi_inverse, step_labels
+from .bijection import _image, _preimage, step_labels
 from .counting import (
+    _vertex_tuples,
+    _words_by_e,
     count_delannoy_by_e,
     count_kimberling_by_vertices,
-    enumerate_delannoy_by_e,
-    enumerate_kimberling_by_vertices,
     schroder,
 )
 from .geometry import (
     CASE_LABELS,
+    _image_below_chord,
+    _word_below_diagonal,
     classify_d_counts,
-    is_subdiagonal_delannoy,
-    is_subdiagonal_kimberling,
     walk_east_steps,
 )
 
@@ -137,17 +141,18 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def _vertex_list(kpath) -> list[list[int]]:
-    return [list(v) for v in kpath.vertices]
-
-
 InteriorKey = tuple[tuple[int, ...], tuple[int, ...]]
+Vertices = tuple[tuple[int, int], ...]
 
 
-def _smallest_keys(keys: list[InteriorKey], kpath) -> list[InteriorKey]:
+def _vertex_list(vertices: Vertices) -> list[list[int]]:
+    return [list(v) for v in vertices]
+
+
+def _smallest_keys(keys: list[InteriorKey], vertices: Vertices) -> list[InteriorKey]:
     """The three smallest distinct keys among ``keys`` and the path's interior
     (x-coordinates, y-coordinates), sorted."""
-    key = tuple(zip(*kpath.interior)) or ((), ())
+    key = tuple(zip(*vertices[1:-1])) or ((), ())
     return keys if key in keys else sorted([*keys, key])[:3]
 
 
@@ -168,8 +173,8 @@ class _SliceRank:
                   for x in range(1, n + 1) for y in range(n + 1)} for t in range(k))
         self._tables = [{(0, 0): self.size - 1}, *terms, {(n + 1, n): 0}]
 
-    def rank(self, kpath) -> int | None:
-        """The path's rank, or None unless the path is a member of the slice.
+    def rank(self, vertices: Vertices) -> int | None:
+        """A vertex tuple's rank, or None unless its path is a member of the slice.
 
         A member has one vertex per table, each a key of it, with x rising
         strictly and y weakly from vertex to vertex; its sum lies in
@@ -179,7 +184,6 @@ class _SliceRank:
         ``CHECKS``).  Without it, the non-monotone ((0, 0), (1, 1), (2, 0),
         (4, 3)) would get rank 3 in the (3, 2) slice.
         """
-        vertices = kpath.vertices
         if len(vertices) != len(self._tables):
             return None
         px, py = -1, 0  # a plain loop: any() over vertex pairs took 3x as long
@@ -197,7 +201,7 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     """One pass over the (n, k) slice of each family for every check in
     ``names``; returns one (cases, failures, counts) per name, in order.
 
-    Each word is mapped with ``phi`` once, if roundtrip or subdiagonal is
+    Each word is mapped with ``_image`` once, if roundtrip or subdiagonal is
     asked; the vertex slice is walked only if one of them or counts is.  A
     vertex path that is the image of a word mapping back to itself is not
     mapped at all (see ``CHECKS``)."""
@@ -221,35 +225,35 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
         unexpected: list[InteriorKey] = []
         in_order = True
 
-    for path in enumerate_delannoy_by_e(n, k):
+    for word in _words_by_e(n, k):
         words += 1
         if roundtrip or subdiagonal:
-            image = phi(path)
+            image = _image(word)
         if subdiagonal:
-            word_flag = is_subdiagonal_delannoy(path)
-            image_flag = is_subdiagonal_kimberling(image)
+            word_flag = _word_below_diagonal(word)
+            image_flag = _image_below_chord(image)
             subdiagonal_words += word_flag
             if word_flag != image_flag:
                 logs["subdiagonal"].add(
                     "subdiagonal_transport",
-                    input_word=path.word,
+                    input_word=word,
                     delannoy_subdiagonal=word_flag,
                     kimberling_subdiagonal=image_flag,
                 )
         if roundtrip:
-            back = phi_inverse(image)
-            if back.word != path.word:
+            back = _preimage(image)
+            if back != word:
                 logs["roundtrip"].add(
-                    "inverse_roundtrip", input_word=path.word, expected=path.word, actual=back.word
+                    "inverse_roundtrip", input_word=word, expected=word, actual=back
                 )
             rank = ranks.rank(image)
             if rank is not None:
-                hits[rank] = 2 + image_flag if back.word == path.word else 1
+                hits[rank] = 2 + image_flag if back == word else 1
             else:
                 unexpected = _smallest_keys(unexpected, image)
         if per_step:
-            north, east = step_labels(path)
-            ends, before_north, before_east = walk_east_steps(path.word)
+            north, east = step_labels(word)
+            ends, before_north, before_east = walk_east_steps(word)
             for (px, py), x, y, d_north, d_east in zip(
                 ends, north, east, before_north, before_east, strict=True
             ):
@@ -257,8 +261,8 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 # of the image against y = n/(n+1) x: diagonal_comparisons' two
                 # tests, inlined with one cross-multiplication and one branch
                 # when both pass.  Calling it, which builds two tuples per word,
-                # made this loop over n <= 8 take twice as long (2.4 s against
-                # 1.1 s), and the benchmark times per-step alone.
+                # made a lone n <= 8 per-step sweep take 2.1 s of CPU against 1.3 s
+                # (Python 3.11, 2 vCPUs), and the benchmark times per-step alone.
                 side = y * width - x * n
                 if (py >= px) != (side > 0) or not side:
                     # north labels rise strictly, so x names its East index
@@ -266,7 +270,7 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                     if (py >= px) != (side > 0):
                         logs["per-step"].add(
                             "step_vertex_mismatch",
-                            input_word=path.word,
+                            input_word=word,
                             east_index=east_index,
                             east_weakly_above=py >= px,
                             vertex_strictly_above=side > 0,
@@ -274,7 +278,7 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                     if not side:
                         logs["per-step"].add(
                             "vertex_on_diagonal",
-                            input_word=path.word,
+                            input_word=word,
                             east_index=east_index,
                             interior_vertex=[x, y],
                         )
@@ -286,28 +290,28 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 tally[classify_d_counts(d_north, d_east)] += steps
 
     if roundtrip or counts or subdiagonal:
-        for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
+        for vertices in _vertex_tuples(n + 1, n, k):
             if roundtrip:
-                rank = ranks.rank(kpath)
+                rank = ranks.rank(vertices)
                 if rank == vertex_paths and hits[rank] > 1:
-                    # a word that maps back to itself has kpath as its image
+                    # a word that maps back to itself has this path as its image
                     if subdiagonal:
                         subdiagonal_vertex_paths += hits[rank] - 2
                     vertex_paths += 1
                     continue
                 in_order = in_order and rank == vertex_paths
                 if rank is not None and not hits[rank]:
-                    missing = _smallest_keys(missing, kpath)
-                back_path = phi(phi_inverse(kpath))
-                if back_path != kpath:
+                    missing = _smallest_keys(missing, vertices)
+                back_path = _image(_preimage(vertices))
+                if back_path != vertices:
                     logs["roundtrip"].add(
                         "forward_roundtrip",
-                        input_vertices=_vertex_list(kpath),
-                        expected=_vertex_list(kpath),
+                        input_vertices=_vertex_list(vertices),
+                        expected=_vertex_list(vertices),
                         actual=_vertex_list(back_path),
                     )
             if subdiagonal:
-                subdiagonal_vertex_paths += is_subdiagonal_kimberling(kpath)
+                subdiagonal_vertex_paths += _image_below_chord(vertices)
             vertex_paths += 1
 
     if roundtrip:

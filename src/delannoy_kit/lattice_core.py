@@ -20,10 +20,11 @@ everything it is given, so every value built from outside the package is
 checked.  ``KimberlingPath`` accepts any iterable of integer pairs (lists
 and iterators included) and stores a tuple of tuples; ``parse_step_word``
 only upper-cases its text before ``DelannoyPath`` checks it.  The
-enumerators, ``phi`` and ``phi_inverse`` build values that are valid by
-construction through ``_unchecked_word`` and ``_unchecked_vertices``,
+enumerators, ``phi`` and ``phi_inverse`` box what plain-data kernels return,
+valid by construction, through ``_unchecked_word`` and ``_unchecked_vertices``
 without re-running that check; each call site states the invariant it
-relies on.  Checked and unchecked values compare, hash and pickle alike.
+relies on, and the verify sweep runs the kernels unboxed.  Checked and
+unchecked values compare, hash and pickle alike.
 """
 
 from __future__ import annotations
@@ -226,9 +227,9 @@ def central_index(path: DelannoyPath) -> tuple[int, int]:
     return len(word) - north, e
 
 
-def _image_order(kpath: KimberlingPath) -> int:
-    """n for a path ending at (n+1, n); ``BadEndpoint`` for any other endpoint."""
-    ex, ey = kpath.endpoint
+def _image_order(vertices: tuple[LatticePoint, ...]) -> int:
+    """n for a vertex tuple ending at (n+1, n); ``BadEndpoint`` for any other endpoint."""
+    ex, ey = vertices[-1]
     if ex != ey + 1 or ey < 0:
         raise BadEndpoint(ex, ey)
     return ey

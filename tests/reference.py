@@ -132,7 +132,7 @@ def scan_phi_inverse(kpath):
     """The word of the height scan over the interior's x and y maps."""
     interior = kpath.interior
     xs, ys = map(itemgetter(0), interior), map(itemgetter(1), interior)
-    return DelannoyPath("".join(height_slots(_image_order(kpath), xs, ys)))
+    return DelannoyPath("".join(height_slots(_image_order(kpath.vertices), xs, ys)))
 
 
 def _validated_parts(a_set, b_multiset, c_set):

@@ -38,27 +38,27 @@ def word_order_tagged(word):
 
 class TestStepLabels:
     def test_worked_example(self):
-        assert step_labels(parse_step_word(WORKED_WORD)) == (
+        assert step_labels(WORKED_WORD) == (
             [1, 3, 4, 5, 8],
             [1, 1, 5, 7, 7],
         )
 
     def test_empty(self):
-        assert step_labels(parse_step_word("")) == ([], [])
+        assert step_labels("") == ([], [])
 
     def test_single_diagonal(self):
-        assert step_labels(parse_step_word("D")) == ([], [])
+        assert step_labels("D") == ([], [])
 
     def test_requires_central(self):
         with pytest.raises(NotCentral):
-            step_labels(parse_step_word("EED"))
+            step_labels("EED")
 
     @pytest.mark.parametrize("n", range(6))
     def test_label_structure(self, n):
         # a strictly increasing and b weakly increasing is exactly what
         # makes the image a valid vertex path
         for path in enumerate_delannoy(n):
-            a, b = step_labels(path)
+            a, b = step_labels(path.word)
             c = [height for height, tag in word_order_tagged(path.word) if tag == "C"]
             assert list(a) == sorted(set(a))
             assert list(b) == sorted(b)
@@ -108,7 +108,7 @@ class TestMergeTagged:
             assert merged == word_order_tagged(path.word)
             groups = tuple([v for v, t in merged if t == tag] for tag in "ABC")
             assert (a, b, c) == groups
-            assert step_labels(path) == (a, b)
+            assert step_labels(path.word) == (a, b)
 
 
 class TestPhiInverse:

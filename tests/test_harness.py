@@ -11,18 +11,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delannoy_kit import (
-    DelannoyPath,
     KimberlingPath,
     count_delannoy,
     count_delannoy_by_e,
     count_kimberling_by_vertices,
-    enumerate_delannoy_by_e,
     enumerate_kimberling_by_vertices,
+    phi_inverse,
 )
 from delannoy_kit import cli, harness
+from delannoy_kit.counting import _vertex_tuples, _words_by_e
 from delannoy_kit.geometry import CASE_LABELS
 from delannoy_kit.harness import FAILURE_CAP, resolve_workers, run_checks
-from delannoy_kit.lattice_core import _unchecked_vertices
 
 
 GOLDEN_N6 = Path(__file__).with_name("golden_verify_n6.json")
@@ -152,7 +151,7 @@ class TestFailureRecording:
     def test_summary_records_stay_under_a_cap_the_units_filled(self, monkeypatch):
         # the units of n <= 3 fill the cap with 49 transport failures, then
         # the summaries of n = 1, 2 and 3 add 3 more to the folded log
-        monkeypatch.setattr(harness, "is_subdiagonal_delannoy", lambda path: True)
+        monkeypatch.setattr(harness, "_word_below_diagonal", lambda word: True)
         (report,) = run_checks(["subdiagonal"], 3, workers=1)
         assert report.failure_count == 52
         assert len(report.failures) == FAILURE_CAP
@@ -161,7 +160,7 @@ class TestFailureRecording:
 # a pool worker sees a monkeypatched harness global only if it was forked
 NEEDS_FORK = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="workers started without fork do not inherit the patched phi",
+    reason="workers started without fork do not inherit the patched _image",
 )
 
 
@@ -212,19 +211,19 @@ class TestGoldenFailureRecords:
         return _report(name, n_max, workers)
 
     def test_roundtrip_with_bumped_phi(self, monkeypatch, workers=1):
-        def bumped_phi(path):
-            image = original_phi(path)
-            if len(image.vertices) > 2:
-                x, y = image.vertices[1]
-                bumped = ((0, 0), (x, max(0, y - 1))) + image.vertices[2:]
+        def bumped_image(word):
+            image = original_image(word)
+            if len(image) > 2:
+                x, y = image[1]
+                bumped = ((0, 0), (x, max(0, y - 1))) + image[2:]
                 try:
-                    return KimberlingPath(bumped)
+                    return KimberlingPath(bumped).vertices
                 except Exception:
                     return image
             return image
 
-        original_phi = harness.phi
-        monkeypatch.setattr(harness, "phi", bumped_phi)
+        original_image = harness._image
+        monkeypatch.setattr(harness, "_image", bumped_image)
         expected = {
             "check_name": "roundtrip",
             "n_range": [0, 3],
@@ -251,7 +250,7 @@ class TestGoldenFailureRecords:
         assert _without_elapsed(self.report("roundtrip", 3, workers)) == json.dumps(expected)
 
     def test_subdiagonal_with_forced_word_predicate(self, monkeypatch, workers=1):
-        monkeypatch.setattr(harness, "is_subdiagonal_delannoy", lambda path: True)
+        monkeypatch.setattr(harness, "_word_below_diagonal", lambda word: True)
         expected = {
             "check_name": "subdiagonal",
             "n_range": [0, 2],
@@ -285,8 +284,8 @@ class TestGoldenFailureRecords:
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_subdiagonal_with_both_predicates_forced(self, monkeypatch, workers):
         # no word disagrees with its image, so only the summary records fail
-        monkeypatch.setattr(harness, "is_subdiagonal_delannoy", lambda path: True)
-        monkeypatch.setattr(harness, "is_subdiagonal_kimberling", lambda kpath: True)
+        monkeypatch.setattr(harness, "_word_below_diagonal", lambda word: True)
+        monkeypatch.setattr(harness, "_image_below_chord", lambda vertices: True)
         expected = {
             "check_name": "subdiagonal",
             "n_range": [0, 3],
@@ -318,15 +317,15 @@ class TestGoldenFailureRecords:
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_roundtrip_with_colliding_phi(self, monkeypatch, workers):
-        def colliding_phi(path):  # shares the image of D^(n-k) E^k N^k
-            if _last_in_slice(path.word):
-                k = path.word.count("E")
-                d = len(path.word) - 2 * k
-                return original_phi(DelannoyPath("D" * d + "E" * k + "N" * k))
-            return original_phi(path)
+        def colliding_image(word):  # shares the image of D^(n-k) E^k N^k
+            if _last_in_slice(word):
+                k = word.count("E")
+                d = len(word) - 2 * k
+                return original_image("D" * d + "E" * k + "N" * k)
+            return original_image(word)
 
-        original_phi = harness.phi
-        monkeypatch.setattr(harness, "phi", colliding_phi)
+        original_image = harness._image
+        monkeypatch.setattr(harness, "_image", colliding_image)
         expected = {
             "check_name": "roundtrip",
             "n_range": [0, 5],
@@ -354,14 +353,14 @@ class TestGoldenFailureRecords:
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_roundtrip_with_out_of_slice_phi(self, monkeypatch, workers):
-        def dropping_phi(path):  # drops the last interior vertex
-            image = original_phi(path)
-            if _last_in_slice(path.word):
-                return KimberlingPath(image.vertices[:-2] + image.vertices[-1:])
+        def dropping_image(word):  # drops the last interior vertex
+            image = original_image(word)
+            if _last_in_slice(word):
+                return KimberlingPath(image[:-2] + image[-1:]).vertices
             return image
 
-        original_phi = harness.phi
-        monkeypatch.setattr(harness, "phi", dropping_phi)
+        original_image = harness._image
+        monkeypatch.setattr(harness, "_image", dropping_image)
         expected = {
             "check_name": "roundtrip",
             "n_range": [0, 5],
@@ -420,9 +419,9 @@ class TestGoldenFailureRecords:
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_per_step_with_first_vertex_on_chord(self, monkeypatch, workers):
-        def on_chord_labels(path):  # words starting with E: first interior vertex (0, 0)
-            north, east = original_labels(path)
-            if path.word.startswith("E"):
+        def on_chord_labels(word):  # words starting with E: first interior vertex (0, 0)
+            north, east = original_labels(word)
+            if word.startswith("E"):
                 return [0, *north[1:]], [0, *east[1:]]
             return north, east
 
@@ -490,7 +489,7 @@ class TestGoldenFailureRecordsInAFusedRun(TestGoldenFailureRecords):
 
 class TestOnePassPerUnit:
     def test_each_family_is_enumerated_and_mapped_once(self, monkeypatch):
-        names = ["enumerate_delannoy_by_e", "enumerate_kimberling_by_vertices", "phi"]
+        names = ["_words_by_e", "_vertex_tuples", "_image"]
         calls = dict.fromkeys(names, 0)
 
         def counted(name, fn):
@@ -505,18 +504,14 @@ class TestOnePassPerUnit:
         run_checks(list(harness.CHECKS), n_max=3, workers=1)
         # 10 (n, k) units; 80 words mapped once each, and no vertex path
         # mapped back, since each unit's word pass implies those roundtrips
-        assert calls == {
-            "enumerate_delannoy_by_e": 10,
-            "enumerate_kimberling_by_vertices": 10,
-            "phi": 80,
-        }
+        assert calls == {"_words_by_e": 10, "_vertex_tuples": 10, "_image": 80}
 
     def test_no_names_start_no_sweep(self, monkeypatch):
-        monkeypatch.setattr(harness, "enumerate_delannoy_by_e", _no_enumeration)
+        monkeypatch.setattr(harness, "_words_by_e", _no_enumeration)
         assert run_checks([], n_max=3) == []
 
     def test_unknown_name_raises_before_any_unit_runs(self, monkeypatch):
-        monkeypatch.setattr(harness, "enumerate_delannoy_by_e", _no_enumeration)
+        monkeypatch.setattr(harness, "_words_by_e", _no_enumeration)
         with pytest.raises(ValueError, match="unknown check 'bogus'"):
             run_checks(["counts", "bogus"], n_max=3)
 
@@ -584,14 +579,14 @@ def _last_in_slice(word):
     return k >= 1 and word == "N" * k + "E" * k + "D" * (len(word) - 2 * k)
 
 
-def _xy_key(kpath):
-    return tuple(zip(*kpath.interior)) or ((), ())
+def _xy_key(vertices):
+    return tuple(zip(*vertices[1:-1])) or ((), ())
 
 
 def _image_set_by_key_sets(n, k):
     """The image_set record of unit (n, k) as set differences of key tuples."""
-    images = sorted(_xy_key(harness.phi(path)) for path in enumerate_delannoy_by_e(n, k))
-    slice_keys = [_xy_key(kpath) for kpath in enumerate_kimberling_by_vertices(n + 1, n, k)]
+    images = sorted(_xy_key(harness._image(word)) for word in _words_by_e(n, k))
+    slice_keys = [_xy_key(vertices) for vertices in _vertex_tuples(n + 1, n, k)]
     if images == slice_keys:
         return None
     return _image_set(
@@ -601,30 +596,30 @@ def _image_set_by_key_sets(n, k):
     )
 
 
-def _collide_ne(path):  # words ending NE share the image of the word ending EN
-    if path.word.endswith("NE"):
-        return UNPATCHED_PHI(DelannoyPath(path.word[:-2] + "EN"))
-    return UNPATCHED_PHI(path)
+def _collide_ne(word):  # words ending NE share the image of the word ending EN
+    if word.endswith("NE"):
+        return UNPATCHED_IMAGE(word[:-2] + "EN")
+    return UNPATCHED_IMAGE(word)
 
 
-def _drop_after_n(path):  # words starting with N lose their last interior vertex
-    image = UNPATCHED_PHI(path)
-    if path.word.startswith("N") and len(image.vertices) > 2:
-        return KimberlingPath(image.vertices[:-2] + image.vertices[-1:])
+def _drop_after_n(word):  # words starting with N lose their last interior vertex
+    image = UNPATCHED_IMAGE(word)
+    if word.startswith("N") and len(image) > 2:
+        return KimberlingPath(image[:-2] + image[-1:]).vertices
     return image
 
 
-def _swap_ne(path):  # words ending NE and EN trade images: onto, but none maps back
-    if path.word.endswith(("NE", "EN")):
-        return UNPATCHED_PHI(DelannoyPath(path.word[:-2] + path.word[-1] + path.word[-2]))
-    return UNPATCHED_PHI(path)
+def _swap_ne(word):  # words ending NE and EN trade images: onto, but none maps back
+    if word.endswith(("NE", "EN")):
+        return UNPATCHED_IMAGE(word[:-2] + word[-1] + word[-2])
+    return UNPATCHED_IMAGE(word)
 
 
-def _first_for_last(path):  # DNE's image, the last of slice (2, 1), is sent to END's
-    return UNPATCHED_PHI(DelannoyPath("END" if path.word == "DNE" else path.word))
+def _first_for_last(word):  # DNE's image, the last of slice (2, 1), is sent to END's
+    return UNPATCHED_IMAGE("END" if word == "DNE" else word)
 
 
-UNPATCHED_PHI = harness.phi
+UNPATCHED_IMAGE = harness._image
 
 
 class TestRankedImageCheck:
@@ -634,7 +629,7 @@ class TestRankedImageCheck:
             ranks = harness._SliceRank(n, k)
             assert ranks.size == count_kimberling_by_vertices(n + 1, n, k)
             slice_ = enumerate_kimberling_by_vertices(n + 1, n, k)
-            assert [ranks.rank(kpath) for kpath in slice_] == list(range(ranks.size))
+            assert [ranks.rank(kpath.vertices) for kpath in slice_] == list(range(ranks.size))
 
     @given(st.data())
     def test_rank_order_is_the_interior_key_order(self, data):
@@ -645,7 +640,7 @@ class TestRankedImageCheck:
         for _ in range(2):
             xs = tuple(sorted(data.draw(st.permutations(range(1, n + 1)))[:k]))
             ys = tuple(sorted(data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k))))
-            rank = ranks.rank(KimberlingPath([(0, 0), *zip(xs, ys), (n + 1, n)]))
+            rank = ranks.rank(KimberlingPath([(0, 0), *zip(xs, ys), (n + 1, n)]).vertices)
             assert 0 <= rank < ranks.size
             keyed.append(((xs, ys), rank))
         (key_a, rank_a), (key_b, rank_b) = keyed
@@ -665,15 +660,15 @@ class TestRankedImageCheck:
         ],
     )
     def test_paths_outside_the_slice_have_no_rank(self, vertices):
-        assert harness._SliceRank(3, 2).rank(_unchecked_vertices(tuple(vertices))) is None
+        assert harness._SliceRank(3, 2).rank(tuple(vertices)) is None
 
     def test_only_slice_members_have_a_rank(self):
         # all 144 sequences of table keys at (3, 2); before rank checked the
         # steps, 98 non-monotone ones such as ((0,0),(1,1),(2,0),(4,3)) had one
         ranks = harness._SliceRank(3, 2)
-        candidates = map(_unchecked_vertices, itertools.product(*ranks._tables))
-        ranked = {kpath for kpath in candidates if ranks.rank(kpath) is not None}
-        assert ranked == set(enumerate_kimberling_by_vertices(4, 3, 2))
+        candidates = itertools.product(*ranks._tables)
+        ranked = {vertices for vertices in candidates if ranks.rank(vertices) is not None}
+        assert ranked == {kpath.vertices for kpath in enumerate_kimberling_by_vertices(4, 3, 2)}
 
     def test_a_vertex_path_aliasing_a_rank_is_mapped_back(self, monkeypatch):
         # the word pass proves every slice member's roundtrip, so the vertex
@@ -682,13 +677,13 @@ class TestRankedImageCheck:
         alias = ((0, 0), (1, 1), (2, 0), (4, 3))
 
         def aliasing_enumerator(i, j, k):
-            paths = list(enumerate_kimberling_by_vertices(i, j, k))
+            paths = list(_vertex_tuples(i, j, k))
             if (i, j, k) == (4, 3, 2):
-                assert paths[3].vertices == ((0, 0), (1, 0), (2, 3), (4, 3))
-                paths[3] = _unchecked_vertices(alias)
+                assert paths[3] == ((0, 0), (1, 0), (2, 3), (4, 3))
+                paths[3] = alias
             return paths
 
-        monkeypatch.setattr(harness, "enumerate_kimberling_by_vertices", aliasing_enumerator)
+        monkeypatch.setattr(harness, "_vertex_tuples", aliasing_enumerator)
         _, failures, _ = harness._unit(("roundtrip",), (3, 2))[0]
         assert failures.records == [
             _forward(3, 2, [[0, 0], [1, 1], [2, 0], [4, 3]], [[0, 0], [1, 0], [2, 1], [4, 3]]),
@@ -696,14 +691,14 @@ class TestRankedImageCheck:
         ]
 
     def test_non_monotone_image_is_reported_not_aliased(self, monkeypatch):
-        def repeating_phi(path):  # EENND's first interior vertex (1, 0), twice
-            image = UNPATCHED_PHI(path)
-            if path.word == "EENND":
-                first = image.vertices[1]
-                return _unchecked_vertices((image.vertices[0], first, first, image.vertices[3]))
+        def repeating_image(word):  # EENND's first interior vertex (1, 0), twice
+            image = UNPATCHED_IMAGE(word)
+            if word == "EENND":
+                first = image[1]
+                return (image[0], first, first, image[3])
             return image
 
-        monkeypatch.setattr(harness, "phi", repeating_phi)
+        monkeypatch.setattr(harness, "_image", repeating_image)
         report = _report("roundtrip", 4)
         assert not report.passed
         image_sets = [f for f in report.failures if f["kind"] == "image_set"]
@@ -711,7 +706,7 @@ class TestRankedImageCheck:
 
     @pytest.mark.parametrize("corrupted_phi", [_collide_ne, _drop_after_n])
     def test_image_set_records_match_key_set_differences(self, monkeypatch, corrupted_phi):
-        monkeypatch.setattr(harness, "phi", corrupted_phi)
+        monkeypatch.setattr(harness, "_image", corrupted_phi)
         monkeypatch.setattr(harness, "FAILURE_CAP", 10**6)
         recorded = 0
         for n in range(6):
@@ -726,11 +721,7 @@ class TestRankedImageCheck:
     def test_every_rank_hit_twice_fails_the_image_check(self, monkeypatch):
         # each word twice: no rank unhit and no image outside the slice, yet
         # the images are not the slice once each
-        monkeypatch.setattr(
-            harness,
-            "enumerate_delannoy_by_e",
-            lambda n, k: list(enumerate_delannoy_by_e(n, k)) * 2,
-        )
+        monkeypatch.setattr(harness, "_words_by_e", lambda n, k: list(_words_by_e(n, k)) * 2)
         _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
         assert failures.records == [_image_set(2, 1, [], [])]
 
@@ -745,9 +736,7 @@ class TestRankedImageCheck:
     )
     def test_vertex_enumerator_out_of_rank_order(self, monkeypatch, corrupt, enumerated):
         monkeypatch.setattr(
-            harness,
-            "enumerate_kimberling_by_vertices",
-            lambda i, j, k: corrupt(enumerate_kimberling_by_vertices(i, j, k)),
+            harness, "_vertex_tuples", lambda i, j, k: corrupt(_vertex_tuples(i, j, k))
         )
         _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
         assert failures.records == [
@@ -785,14 +774,12 @@ class TestRankedImageCheck:
     ):
         # DNE's image, the slice's last path, is sent to the first one; a short
         # enumerator never reaches the unhit path, so only vertex_order reports it
-        def first_for_last(path):
-            return UNPATCHED_PHI(DelannoyPath("END" if path.word == "DNE" else path.word))
+        def first_for_last(word):
+            return UNPATCHED_IMAGE("END" if word == "DNE" else word)
 
-        monkeypatch.setattr(harness, "phi", first_for_last)
+        monkeypatch.setattr(harness, "_image", first_for_last)
         monkeypatch.setattr(
-            harness,
-            "enumerate_kimberling_by_vertices",
-            lambda i, j, k: corrupt(enumerate_kimberling_by_vertices(i, j, k)),
+            harness, "_vertex_tuples", lambda i, j, k: corrupt(_vertex_tuples(i, j, k))
         )
         _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
         assert failures.records == [
@@ -809,11 +796,11 @@ class TestRankedImageCheck:
         # back, so phi maps the 6 words and 1 of the 6 vertex paths
         mapped = []
 
-        def counted(path):
-            mapped.append(path.word)
-            return _first_for_last(path)
+        def counted(word):
+            mapped.append(word)
+            return _first_for_last(word)
 
-        monkeypatch.setattr(harness, "phi", counted)
+        monkeypatch.setattr(harness, "_image", counted)
         _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
         assert len(mapped) == 7 and mapped[6] == "DNE"
         assert [record["kind"] for record in failures.records] == [
@@ -828,11 +815,11 @@ class TestRankedImageCheck:
         # path the unit did not map back through phi_inverse to the path again
         mapped = []
 
-        def recording(path):
-            mapped.append(path.word)
-            return corrupted_phi(path)
+        def recording(word):
+            mapped.append(word)
+            return corrupted_phi(word)
 
-        monkeypatch.setattr(harness, "phi", recording)
+        monkeypatch.setattr(harness, "_image", recording)
         monkeypatch.setattr(harness, "FAILURE_CAP", 10**6)
         skipped_in_failing_units = 0
         for n in range(6):
@@ -843,13 +830,13 @@ class TestRankedImageCheck:
                 mapped_back = set(mapped[count_delannoy_by_e(n, k):])
                 expected = []
                 for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
-                    word = harness.phi_inverse(kpath).word
-                    back = corrupted_phi(DelannoyPath(word))
-                    if back != kpath:
+                    word = phi_inverse(kpath).word
+                    back = corrupted_phi(word)
+                    if back != kpath.vertices:
                         vertices = [list(v) for v in kpath.vertices]
-                        expected.append(_forward(n, k, vertices, [list(v) for v in back.vertices]))
+                        expected.append(_forward(n, k, vertices, [list(v) for v in back]))
                     if word not in mapped_back:
-                        assert back == kpath, (n, k, word)
+                        assert back == kpath.vertices, (n, k, word)
                         skipped_in_failing_units += failures.count > 0
                 # every failing roundtrip is still recorded, in enumeration order
                 forward = [r for r in failures.records if r["kind"] == "forward_roundtrip"]
@@ -871,19 +858,19 @@ class TestRankedImageCheck:
 
 class TestWorkerErrors:
     def test_failing_pool_worker_raises_instead_of_hanging(self):
-        # BadEndpoint from phi_inverse inside a pool worker must reach the
+        # BadEndpoint from _preimage inside a pool worker must reach the
         # caller; when it could not be unpickled, pool.map never returned
         script = """
 import multiprocessing
-from delannoy_kit import BadEndpoint, KimberlingPath, harness
+from delannoy_kit import BadEndpoint, harness
 
-def wrong_endpoint_phi(path):
-    image = harness_phi(path)
-    n = image.endpoint[1]
-    return KimberlingPath(image.vertices[:-1] + ((n + 2, n),))
+def wrong_endpoint_image(word):
+    image = harness_image(word)
+    n = image[-1][1]
+    return image[:-1] + ((n + 2, n),)
 
-harness_phi = harness.phi
-harness.phi = wrong_endpoint_phi
+harness_image = harness._image
+harness._image = wrong_endpoint_image
 multiprocessing.set_start_method("fork")
 try:
     harness.run_checks(["roundtrip"], 5, workers=2)
