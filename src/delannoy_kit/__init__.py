@@ -23,7 +23,6 @@ from .lattice_core import (
 from .bijection import (
     phi,
     phi_inverse,
-    step_labels,
 )
 from .counting import (
     count_delannoy,
@@ -83,6 +82,5 @@ __all__ = [
     "run_checks",
     "sample_delannoy_stream",
     "schroder",
-    "step_labels",
     "walk_east_steps",
 ]

@@ -5,8 +5,8 @@ the y-coordinate of the step's terminal vertex; a D step only raises the
 height.  The labels of the N steps (in step order) are strictly increasing;
 the labels of the E steps are weakly increasing.  Pairing the i-th N label
 with the i-th E label gives the i-th interior vertex of the image path,
-which runs from (0, 0) to (n+1, n).  ``step_labels`` is that one walk of
-the word: it returns the (north, east) label lists, and ``_image`` pairs them.
+which runs from (0, 0) to (n+1, n).  ``_image`` is that one walk of the
+word: it labels the steps and pairs the labels.
 
 Inverse direction: from a path ending at (n+1, n), read off
 
@@ -37,29 +37,6 @@ from .lattice_core import (
 )
 
 
-def step_labels(word: str) -> tuple[list[int], list[int]]:
-    """Label each North and East step of a word string with its terminal
-    y-coordinate: the (north, east) label lists, each in step order.
-
-    North labels rise strictly, east labels weakly; a D step only raises
-    the height, so the heights 1..n not among the north labels are the D
-    steps'.  Raises ``NotCentral`` unless #E == #N, and checks nothing else.
-    """
-    y = 0
-    north: list[int] = []
-    east: list[int] = []
-    for ch in word:
-        if ch == "E":
-            east.append(y)
-        else:
-            y += 1
-            if ch == "N":
-                north.append(y)
-    if len(north) != len(east):
-        raise NotCentral(len(east), len(north))
-    return north, east
-
-
 def phi(path: DelannoyPath) -> KimberlingPath:
     """Map a central path to its vertex path in K_{n+1, n}.
 
@@ -72,10 +49,22 @@ def phi(path: DelannoyPath) -> KimberlingPath:
 
 
 def _image(word: str) -> tuple[LatticePoint, ...]:
-    """The vertex tuple of ``phi`` of a word over E/N/D."""
-    north, east = step_labels(word)
-    n = len(word) - len(north)
-    return ((0, 0), *zip(north, east), (n + 1, n))
+    """The vertex tuple of ``phi`` of a word over E/N/D, from one walk that
+    labels each N and E step with its terminal height, which ends at n.
+    Raises ``NotCentral`` unless #E == #N, and checks nothing else."""
+    y = 0
+    north: list[int] = []
+    east: list[int] = []
+    for ch in word:
+        if ch == "E":
+            east.append(y)
+        else:
+            y += 1
+            if ch == "N":
+                north.append(y)
+    if len(north) != len(east):
+        raise NotCentral(len(east), len(north))
+    return ((0, 0), *zip(north, east), (y + 1, y))
 
 
 def _parts(kpath: KimberlingPath) -> tuple[list[int], list[int], list[int]]:

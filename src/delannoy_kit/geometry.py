@@ -96,8 +96,9 @@ def walk_east_steps(word: str) -> tuple[list[LatticePoint], list[int], list[int]
     """One pass over a step word: the terminal vertex of each East step, and
     how many D steps precede each N step and each E step.
 
-    Takes the word string and checks nothing; for a central word the three
-    lists have one entry per East index."""
+    Takes a word over E/N/D and checks nothing: any character other than E
+    or N counts as a D step.  For a central word the three lists have one
+    entry per East index."""
     x = y = d = 0
     ends: list[LatticePoint] = []
     before_north: list[int] = []

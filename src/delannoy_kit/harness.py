@@ -34,10 +34,11 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import count
 from math import comb
 from typing import Any, Callable, Iterable
 
-from .bijection import _image, _preimage, step_labels
+from .bijection import _image, _preimage
 from .counting import (
     _vertex_tuples,
     _words_by_e,
@@ -201,10 +202,10 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     """One pass over the (n, k) slice of each family for every check in
     ``names``; returns one (cases, failures, counts) per name, in order.
 
-    Each word is mapped with ``_image`` once, if roundtrip or subdiagonal is
-    asked; the vertex slice is walked only if one of them or counts is.  A
-    vertex path that is the image of a word mapping back to itself is not
-    mapped at all (see ``CHECKS``)."""
+    Each word is mapped with ``_image`` once, if roundtrip, subdiagonal or
+    per-step is asked; the vertex slice is walked only if roundtrip,
+    subdiagonal or counts is.  A vertex path that is the image of a word
+    mapping back to itself is not mapped at all (see ``CHECKS``)."""
     n, k = unit
     roundtrip, counts = "roundtrip" in names, "counts" in names
     subdiagonal, per_step = "subdiagonal" in names, "per-step" in names
@@ -227,7 +228,7 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
 
     for word in _words_by_e(n, k):
         words += 1
-        if roundtrip or subdiagonal:
+        if roundtrip or subdiagonal or per_step:
             image = _image(word)
         if subdiagonal:
             word_flag = _word_below_diagonal(word)
@@ -252,36 +253,42 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
             else:
                 unexpected = _smallest_keys(unexpected, image)
         if per_step:
-            north, east = step_labels(word)
             ends, before_north, before_east = walk_east_steps(word)
-            for (px, py), x, y, d_north, d_east in zip(
-                ends, north, east, before_north, before_east, strict=True
+            interior = image[1:-1]
+            if len(interior) != len(ends):
+                logs["per-step"].add(
+                    "image_vertex_count", input_word=word, expected=len(ends), actual=len(interior)
+                )
+            for i, (px, py), (x, y), d_north, d_east in zip(
+                count(1), ends, interior, before_north, before_east
             ):
-                # the i-th East end against y = x and the i-th interior vertex
-                # of the image against y = n/(n+1) x: diagonal_comparisons' two
-                # tests, inlined with one cross-multiplication and one branch
-                # when both pass.  Calling it, which builds two tuples per word,
-                # made a lone n <= 8 per-step sweep take 2.1 s of CPU against 1.3 s
-                # (Python 3.11, 2 vCPUs), and the benchmark times per-step alone.
+                if x != i + d_north or y != py:  # phi's definition, as CHECKS states it
+                    logs["per-step"].add(
+                        "image_vertex_mismatch",
+                        input_word=word,
+                        east_index=i,
+                        expected=[i + d_north, py],
+                        actual=[x, y],
+                    )
+                # the East end against y = x, the vertex against the chord: the tests
+                # of diagonal_comparisons, whose call made a lone n <= 8 per-step sweep
+                # take a median 2.52 s of CPU against 2.37 s (Python 3.11, 2 vCPUs)
                 side = y * width - x * n
-                if (py >= px) != (side > 0) or not side:
-                    # north labels rise strictly, so x names its East index
-                    east_index = north.index(x) + 1
-                    if (py >= px) != (side > 0):
-                        logs["per-step"].add(
-                            "step_vertex_mismatch",
-                            input_word=word,
-                            east_index=east_index,
-                            east_weakly_above=py >= px,
-                            vertex_strictly_above=side > 0,
-                        )
-                    if not side:
-                        logs["per-step"].add(
-                            "vertex_on_diagonal",
-                            input_word=word,
-                            east_index=east_index,
-                            interior_vertex=[x, y],
-                        )
+                if (py >= px) != (side > 0):
+                    logs["per-step"].add(
+                        "step_vertex_mismatch",
+                        input_word=word,
+                        east_index=i,
+                        east_weakly_above=py >= px,
+                        vertex_strictly_above=side > 0,
+                    )
+                if not side:
+                    logs["per-step"].add(
+                        "vertex_on_diagonal",
+                        input_word=word,
+                        east_index=i,
+                        interior_vertex=[x, y],
+                    )
                 pair_counts[d_north][d_east] += 1
 
     for d_north, row in enumerate(pair_counts):
@@ -395,11 +402,12 @@ def _case_coverage(
 # - subdiagonal: one per word (subdiagonality transports through phi), plus
 #   two per n comparing each family's subdiagonal total to the Schroder
 #   number from the recurrence.
-# - per-step: one per East index, where the two diagonal comparisons must
-#   agree and the interior vertex must not land on the image diagonal, plus
-#   one coverage case per n >= 2 confirming that all three orderings of the
-#   preceding-D counts occur.  Order 0 has neither, so n_max = 0 raises
-#   ValueError.
+# - per-step: one per East index i, where the i-th interior vertex of the
+#   image must be phi's by definition, (i + the D steps before the i-th N,
+#   the height of the i-th East end), the two diagonal comparisons must agree
+#   and the vertex must not land on the image diagonal, plus one coverage
+#   case per n >= 2 confirming that all three orderings of the preceding-D
+#   counts occur.  Order 0 has neither, so n_max = 0 raises ValueError.
 CHECKS: dict[str, tuple[str, Summary] | None] = {
     "roundtrip": None,
     "counts": None,

@@ -11,9 +11,8 @@ from delannoy_kit import (
     parse_step_word,
     phi,
     phi_inverse,
-    step_labels,
 )
-from delannoy_kit.bijection import _parts
+from delannoy_kit.bijection import _image, _parts
 from delannoy_kit.cli import _LETTERS_TO_TAGS
 
 WORKED_WORD = "NEEDNNNEDDEEN"
@@ -37,28 +36,35 @@ def word_order_tagged(word):
 
 
 class TestStepLabels:
+    # the labels are read off the image: its interior x's are the North
+    # labels, its interior y's the East labels (A and B of ``_parts``)
+
     def test_worked_example(self):
-        assert step_labels(WORKED_WORD) == (
+        assert _parts(phi(parse_step_word(WORKED_WORD))) == (
             [1, 3, 4, 5, 8],
             [1, 1, 5, 7, 7],
+            [2, 6, 7],
         )
 
     def test_empty(self):
-        assert step_labels("") == ([], [])
+        assert _parts(phi(parse_step_word(""))) == ([], [], [])
 
     def test_single_diagonal(self):
-        assert step_labels("D") == ([], [])
+        assert _parts(phi(parse_step_word("D"))) == ([], [], [1])
 
     def test_requires_central(self):
-        with pytest.raises(NotCentral):
-            step_labels("EED")
+        with pytest.raises(NotCentral) as exc:
+            _image("EED")
+        assert (exc.value.e_count, exc.value.n_count) == (2, 0)
 
     @pytest.mark.parametrize("n", range(6))
     def test_label_structure(self, n):
         # a strictly increasing and b weakly increasing is exactly what
         # makes the image a valid vertex path
         for path in enumerate_delannoy(n):
-            a, b = step_labels(path.word)
+            interior = phi(path).interior
+            a = [x for x, _ in interior]
+            b = [y for _, y in interior]
             c = [height for height, tag in word_order_tagged(path.word) if tag == "C"]
             assert list(a) == sorted(set(a))
             assert list(b) == sorted(b)
@@ -108,7 +114,8 @@ class TestMergeTagged:
             assert merged == word_order_tagged(path.word)
             groups = tuple([v for v, t in merged if t == tag] for tag in "ABC")
             assert (a, b, c) == groups
-            assert step_labels(path.word) == (a, b)
+            # the i-th interior vertex pairs the i-th North and East labels
+            assert list(zip(a, b)) == list(image.interior)
 
 
 class TestPhiInverse:

@@ -109,14 +109,14 @@ class TestMapUnmap:
     def test_map_debug_walks_the_word_once(self, capsys, monkeypatch):
         # counted where phi looks it up; cli does not bind it
         calls = []
-        original = bijection.step_labels
+        original = bijection._image
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        assert not hasattr(cli, "step_labels")
-        monkeypatch.setattr(bijection, "step_labels", counted)
+        assert not hasattr(cli, "_image")
+        monkeypatch.setattr(bijection, "_image", counted)
         assert invoke(capsys, "map", WORKED_WORD, "--debug")[0] == 0
         assert len(calls) == 1
 
@@ -594,7 +594,6 @@ class TestTopLevel:
             "run_checks",
             "sample_delannoy_stream",
             "schroder",
-            "step_labels",
             "walk_east_steps",
         ]
         namespace = {}

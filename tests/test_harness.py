@@ -104,6 +104,42 @@ class TestVerifyPerStep:
         assert tally["more_before_north"] == 0
 
 
+    @pytest.mark.parametrize("fused", [False, True], ids=["alone", "fused"])
+    def test_phi_is_pinned_to_its_definition(self, monkeypatch, fused):
+        # phi and phi_inverse trade the images of DDEN and DEDN: still a
+        # bijection that roundtrip passes, but not the paper's map
+        trade = {"DDEN": "DEDN", "DEDN": "DDEN"}
+
+        def traded_preimage(vertices):
+            word = UNPATCHED_PREIMAGE(vertices)
+            return trade.get(word, word)
+
+        monkeypatch.setattr(harness, "_image", lambda word: UNPATCHED_IMAGE(trade.get(word, word)))
+        monkeypatch.setattr(harness, "_preimage", traded_preimage)
+        names = list(harness.CHECKS) if fused else ["per-step"]
+        reports = {r.check_name: r for r in run_checks(names, 4, workers=1)}
+        assert reports["per-step"].failure_count == 2
+        assert reports["per-step"].failures == [
+            _image_mismatch(3, 1, "DDEN", 1, [3, 2], [3, 1]),
+            _image_mismatch(3, 1, "DEDN", 1, [3, 1], [3, 2]),
+        ]
+        if fused:
+            assert reports["roundtrip"].passed
+
+    def test_wrong_vertex_count_is_recorded(self, monkeypatch):
+        monkeypatch.setattr(harness, "_image", _drop_last_in_slice)
+        report = _report("per-step", 3, workers=1)
+        assert report.total_cases == 154
+        assert report.failures == [
+            {
+                "kind": "image_vertex_count", "n": n, "k": k,
+                "input_word": "N" * k + "E" * k + "D" * (n - k), "expected": k, "actual": k - 1,
+            }
+            for n in range(1, 4) for k in range(1, n + 1)
+        ]
+        assert report.failure_count == 6
+
+
 class TestReportMechanics:
     @pytest.mark.parametrize(
         "threads, checks",
@@ -353,14 +389,7 @@ class TestGoldenFailureRecords:
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_roundtrip_with_out_of_slice_phi(self, monkeypatch, workers):
-        def dropping_image(word):  # drops the last interior vertex
-            image = original_image(word)
-            if _last_in_slice(word):
-                return KimberlingPath(image[:-2] + image[-1:]).vertices
-            return image
-
-        original_image = harness._image
-        monkeypatch.setattr(harness, "_image", dropping_image)
+        monkeypatch.setattr(harness, "_image", _drop_last_in_slice)
         expected = {
             "check_name": "roundtrip",
             "n_range": [0, 5],
@@ -384,9 +413,9 @@ class TestGoldenFailureRecords:
         report = self.report("roundtrip", 5, workers)
         assert _without_elapsed(report) == json.dumps(expected)
 
-    # The corrupted per-step runs below are whole per-step reports at n_max = 3;
-    # of the patches, only on_chord_labels depends on step_labels' return shape,
-    # the (north, east) pair of label lists.
+    # The corrupted per-step runs below are whole per-step reports at n_max = 3.
+    # Per-step reads each East end's height from the walk and each interior
+    # vertex from the image, so corrupting either breaks the definition too.
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_per_step_with_mirrored_east_ends(self, monkeypatch, workers):
@@ -399,18 +428,18 @@ class TestGoldenFailureRecords:
         original_walk = harness.walk_east_steps
         monkeypatch.setattr(harness, "walk_east_steps", mirrored_walk)
         expected = _per_step_report(
-            55,
+            110,
             [
+                _image_mismatch(1, 1, "EN", 1, [1, 1], [1, 0]),
                 _mismatch(1, 1, "EN", 1),
+                _image_mismatch(2, 1, "DEN", 1, [2, 2], [2, 1]),
                 _mismatch(2, 1, "DEN", 1),
+                _image_mismatch(2, 1, "EDN", 1, [2, 1], [2, 0]),
                 _mismatch(2, 1, "EDN", 1),
+                _image_mismatch(2, 2, "EENN", 1, [1, 1], [1, 0]),
                 _mismatch(2, 2, "EENN", 1),
+                _image_mismatch(2, 2, "EENN", 2, [2, 2], [2, 0]),
                 _mismatch(2, 2, "EENN", 2),
-                _mismatch(2, 2, "ENEN", 1),
-                _mismatch(2, 2, "ENEN", 2),
-                _mismatch(2, 2, "NEEN", 2),
-                _mismatch(3, 1, "DDEN", 1),
-                _mismatch(3, 1, "DEDN", 1),
             ],
             PER_STEP_TALLIES,
         )
@@ -419,27 +448,29 @@ class TestGoldenFailureRecords:
 
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_per_step_with_first_vertex_on_chord(self, monkeypatch, workers):
-        def on_chord_labels(word):  # words starting with E: first interior vertex (0, 0)
-            north, east = original_labels(word)
+        def on_chord_image(word):  # words starting with E: first interior vertex (0, 0)
+            image = original_image(word)
             if word.startswith("E"):
-                return [0, *north[1:]], [0, *east[1:]]
-            return north, east
+                return ((0, 0), (0, 0), *image[2:])
+            return image
 
-        original_labels = harness.step_labels
-        monkeypatch.setattr(harness, "step_labels", on_chord_labels)
+        original_image = harness._image
+        monkeypatch.setattr(harness, "_image", on_chord_image)
+        # each word's vertex (0, 0) is not its definition's (1 + D's before the
+        # first N, 0), and it lies on the chord
         expected = _per_step_report(
-            31,
+            62,
             [
+                _image_mismatch(1, 1, "EN", 1, [1, 0], [0, 0]),
                 _on_diagonal(1, 1, "EN"),
+                _image_mismatch(2, 1, "EDN", 1, [2, 0], [0, 0]),
                 _on_diagonal(2, 1, "EDN"),
+                _image_mismatch(2, 1, "END", 1, [1, 0], [0, 0]),
                 _on_diagonal(2, 1, "END"),
+                _image_mismatch(2, 2, "EENN", 1, [1, 0], [0, 0]),
                 _on_diagonal(2, 2, "EENN"),
+                _image_mismatch(2, 2, "ENEN", 1, [1, 0], [0, 0]),
                 _on_diagonal(2, 2, "ENEN"),
-                _on_diagonal(2, 2, "ENNE"),
-                _on_diagonal(3, 1, "EDDN"),
-                _on_diagonal(3, 1, "EDND"),
-                _on_diagonal(3, 1, "ENDD"),
-                _on_diagonal(3, 2, "EDENN"),
             ],
             PER_STEP_TALLIES,
         )
@@ -489,7 +520,7 @@ class TestGoldenFailureRecordsInAFusedRun(TestGoldenFailureRecords):
 
 class TestOnePassPerUnit:
     def test_each_family_is_enumerated_and_mapped_once(self, monkeypatch):
-        names = ["_words_by_e", "_vertex_tuples", "_image"]
+        names = ["_words_by_e", "_vertex_tuples", "_image", "walk_east_steps"]
         calls = dict.fromkeys(names, 0)
 
         def counted(name, fn):
@@ -502,9 +533,11 @@ class TestOnePassPerUnit:
         for name in calls:
             monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
         run_checks(list(harness.CHECKS), n_max=3, workers=1)
-        # 10 (n, k) units; 80 words mapped once each, and no vertex path
-        # mapped back, since each unit's word pass implies those roundtrips
-        assert calls == {"_words_by_e": 10, "_vertex_tuples": 10, "_image": 80}
+        # 10 (n, k) units; 80 words mapped and walked once each, and no vertex
+        # path mapped back, since each unit's word pass implies those roundtrips
+        assert calls == {
+            "_words_by_e": 10, "_vertex_tuples": 10, "_image": 80, "walk_east_steps": 80
+        }
 
     def test_no_names_start_no_sweep(self, monkeypatch):
         monkeypatch.setattr(harness, "_words_by_e", _no_enumeration)
@@ -567,6 +600,13 @@ def _mismatch(n, k, word, east_index):
     }
 
 
+def _image_mismatch(n, k, word, east_index, expected, actual):
+    return {
+        "kind": "image_vertex_mismatch", "n": n, "k": k, "input_word": word,
+        "east_index": east_index, "expected": expected, "actual": actual,
+    }
+
+
 def _on_diagonal(n, k, word):
     return {
         "kind": "vertex_on_diagonal", "n": n, "k": k, "input_word": word,
@@ -602,6 +642,13 @@ def _collide_ne(word):  # words ending NE share the image of the word ending EN
     return UNPATCHED_IMAGE(word)
 
 
+def _drop_last_in_slice(word):  # each slice's last word loses its last interior vertex
+    image = UNPATCHED_IMAGE(word)
+    if _last_in_slice(word):
+        return KimberlingPath(image[:-2] + image[-1:]).vertices
+    return image
+
+
 def _drop_after_n(word):  # words starting with N lose their last interior vertex
     image = UNPATCHED_IMAGE(word)
     if word.startswith("N") and len(image) > 2:
@@ -620,6 +667,7 @@ def _first_for_last(word):  # DNE's image, the last of slice (2, 1), is sent to 
 
 
 UNPATCHED_IMAGE = harness._image
+UNPATCHED_PREIMAGE = harness._preimage
 
 
 class TestRankedImageCheck:
