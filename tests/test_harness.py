@@ -103,7 +103,6 @@ class TestVerifyPerStep:
         assert tally["more_before_east"] == 0
         assert tally["more_before_north"] == 0
 
-
     @pytest.mark.parametrize("fused", [False, True], ids=["alone", "fused"])
     def test_phi_is_pinned_to_its_definition(self, monkeypatch, fused):
         # phi and phi_inverse trade the images of DDEN and DEDN: still a
