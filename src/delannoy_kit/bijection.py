@@ -6,7 +6,8 @@ height.  The labels of the N steps (in step order) are strictly increasing;
 the labels of the E steps are weakly increasing.  Pairing the i-th N label
 with the i-th E label gives the i-th interior vertex of the image path,
 which runs from (0, 0) to (n+1, n).  ``_image`` is that one walk of the
-word: it labels the steps and pairs the labels.
+word: it returns the N labels, the E labels and the height n, the image's
+interior columns, and ``phi`` pairs them.
 
 Inverse direction: from a path ending at (n+1, n), read off
 
@@ -18,19 +19,22 @@ Each height level 1..n is reached exactly once, by an N step (heights in
 A) or by a D step (heights in C), which is why A and C partition {1..n}.
 The word is therefore a scan over the heights: one E per B value equal to
 0, then for each h = 1..n an N if h is in A, else a D, followed by one E
-per B value equal to h.  ``_preimage`` is that scan and the one place it
-runs.  ``_parts`` reads A, B and C, which on a word's image are its north
-labels, its east labels and the heights of its D steps.  ``phi`` and
-``phi_inverse`` box what their kernels, ``_image`` and ``_preimage``, return.
+per B value equal to h.  ``_preimage`` is that scan, on A, B and n, and the
+one place it runs.  ``_parts`` reads A, B and C, which on a word's image
+are its north labels, its east labels and the heights of its D steps.  The
+verify sweep runs the kernels ``_image`` and ``_preimage`` on these columns;
+``phi`` and ``phi_inverse`` box and unbox them at the boundary.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .lattice_core import (
     DelannoyPath,
     KimberlingPath,
-    LatticePoint,
     NotCentral,
+    _columns,
     _image_order,
     _unchecked_vertices,
     _unchecked_word,
@@ -44,13 +48,14 @@ def phi(path: DelannoyPath) -> KimberlingPath:
     has exactly k interior vertices, one per East step.  Raises
     ``NotCentral`` for non-central paths.
     """
+    north, east, n = _image(path.word)
     # N heights rise strictly from >= 1 to <= n, E heights weakly within 0..n
-    return _unchecked_vertices(_image(path.word))
+    return _unchecked_vertices(((0, 0), *zip(north, east), (n + 1, n)))
 
 
-def _image(word: str) -> tuple[LatticePoint, ...]:
-    """The vertex tuple of ``phi`` of a word over E/N/D, from one walk that
-    labels each N and E step with its terminal height, which ends at n.
+def _image(word: str) -> tuple[list[int], list[int], int]:
+    """The interior columns of ``phi`` of a word over E/N/D and its height n,
+    from one walk that labels each N and E step with its terminal height.
     Raises ``NotCentral`` unless #E == #N, and checks nothing else."""
     y = 0
     north: list[int] = []
@@ -64,15 +69,13 @@ def _image(word: str) -> tuple[LatticePoint, ...]:
                 north.append(y)
     if len(north) != len(east):
         raise NotCentral(len(east), len(north))
-    return ((0, 0), *zip(north, east), (y + 1, y))
+    return north, east, y
 
 
 def _parts(kpath: KimberlingPath) -> tuple[list[int], list[int], list[int]]:
     """A, B and C of a path to (n+1, n): the interior's x's and y's, and the
     heights 1..n not in A."""
-    interior = kpath.vertices[1:-1]
-    a = [x for x, _ in interior]
-    b = [y for _, y in interior]
+    a, b = map(list, _columns(kpath.vertices))
     present = set(a)
     c = [h for h in range(1, kpath.endpoint[1] + 1) if h not in present]
     return a, b, c
@@ -88,18 +91,19 @@ def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:
     (n, #interior vertices).  Raises ``BadEndpoint`` when the terminal
     vertex has no such shape.
     """
+    n = _image_order(kpath.vertices)
     # the slots hold only the letters D, N and E
-    return _unchecked_word(_preimage(kpath.vertices))
+    return _unchecked_word(_preimage(*_columns(kpath.vertices), n))
 
 
-def _preimage(vertices: tuple[LatticePoint, ...]) -> str:
-    """The word of ``phi_inverse`` of a vertex tuple of a valid path."""
-    slots = ["D"] * (_image_order(vertices) + 1)
+def _preimage(xs: Sequence[int], ys: Sequence[int], n: int) -> str:
+    """The word of ``phi_inverse`` of a path to (n+1, n) with interior x's
+    ``xs`` and y's ``ys``, which the caller guarantees are valid."""
+    slots = ["D"] * (n + 1)
     slots[0] = ""
-    interior = vertices[1:-1]
     # every N is placed before any E is appended, so an E at height h = x survives
-    for x, _ in interior:
+    for x in xs:
         slots[x] = "N"
-    for _, y in interior:
+    for y in ys:
         slots[y] += "E"
     return "".join(slots)

@@ -30,7 +30,10 @@ Enumeration orders are fixed so golden outputs stay stable:
   tail, so the order is Algorithm L's over the whole word, no enumerator
   recurses, and working memory is O(n) beside the fixed table.
 * ``enumerate_kimberling(i, j)`` is k-major: interior-vertex count
-  ascending, then lexicographic by x-set, then by y-multiset.
+  ascending, then lexicographic by x-set, then by y-multiset.  Each slice
+  comes from ``_vertex_columns``, which yields the interior x's and y's of
+  each path as two tuples; the verify sweep runs on these columns, and
+  ``enumerate_kimberling_by_vertices`` zips them into vertex tuples.
 """
 
 from __future__ import annotations
@@ -40,7 +43,13 @@ import math
 import random
 from bisect import bisect_right
 from functools import cache
-from itertools import accumulate, combinations, combinations_with_replacement, product
+from itertools import (
+    accumulate,
+    combinations,
+    combinations_with_replacement,
+    product,
+    repeat,
+)
 from typing import Iterator
 
 from .lattice_core import DelannoyPath, KimberlingPath, _unchecked_vertices, _unchecked_word
@@ -207,18 +216,19 @@ def enumerate_kimberling_by_vertices(i: int, j: int, k: int) -> Iterator[Kimberl
         if j == 0 and k == 0:
             yield KimberlingPath(((0, 0),))
         return
-    # x rises strictly within 1..i-1 and y weakly within 0..j
-    yield from map(_unchecked_vertices, _vertex_tuples(i, j, k))
+    end = (i, j)
+    for xs, ys in _vertex_columns(i, j, k):
+        # x rises strictly within 1..i-1 and y weakly within 0..j
+        yield _unchecked_vertices(((0, 0), *zip(xs, ys), end))
 
 
-def _vertex_tuples(i: int, j: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The vertex tuples of ``enumerate_kimberling_by_vertices(i, j, k)``, for i >= 1."""
+def _vertex_columns(i: int, j: int, k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The interior columns (x's, y's) of ``enumerate_kimberling_by_vertices(i,
+    j, k)``, in its order, for i >= 1; each x-set is one object for its run."""
     if not 0 <= k <= i - 1:
         return
-    end = (i, j)
     for xs in combinations(range(1, i), k):
-        for ys in combinations_with_replacement(range(j + 1), k):
-            yield ((0, 0), *zip(xs, ys), end)
+        yield from zip(repeat(xs), combinations_with_replacement(range(j + 1), k))
 
 
 def enumerate_kimberling(i: int, j: int) -> Iterator[KimberlingPath]:

@@ -10,6 +10,10 @@ divisibility statement and is tested exactly.
 Checking vertices alone suffices: every step segment whose endpoints lie
 weakly below a line through the origin stays weakly below it.
 
+The subdiagonal predicates' kernels, ``_word_below_diagonal`` and
+``_below_chord``, take a word string and a path's interior columns (its
+x's and y's) with its endpoint; the verify sweep calls them directly.
+
 The per-step lemma reads one walk of the word, ``walk_east_steps``: the
 terminal vertex of each East step, and the D steps before each N and each
 E step.  ``diagonal_comparisons`` sets the i-th East end against y = x and
@@ -25,6 +29,7 @@ from .lattice_core import (
     DelannoyPath,
     KimberlingPath,
     LatticePoint,
+    _columns,
     _image_order,
     central_index,
 )
@@ -64,13 +69,8 @@ def is_subdiagonal_kimberling(kpath: KimberlingPath) -> bool:
     Raises ``BadEndpoint`` for any other endpoint; on this family the test
     is ``below_endpoint_chord``.
     """
-    return _image_below_chord(kpath.vertices)
-
-
-def _image_below_chord(vertices: tuple[LatticePoint, ...]) -> bool:
-    """``is_subdiagonal_kimberling`` of a vertex tuple, endpoint rule included."""
-    _image_order(vertices)
-    return _below_chord(vertices)
+    _image_order(kpath.vertices)
+    return below_endpoint_chord(kpath)
 
 
 def below_endpoint_chord(kpath: KimberlingPath) -> bool:
@@ -80,14 +80,14 @@ def below_endpoint_chord(kpath: KimberlingPath) -> bool:
     accepts any endpoint, where ``is_subdiagonal_kimberling`` requires one
     of the form (n+1, n).
     """
-    return _below_chord(kpath.vertices)
+    return _below_chord(*_columns(kpath.vertices), *kpath.endpoint)
 
 
-def _below_chord(vertices: tuple[LatticePoint, ...]) -> bool:
-    """The loop of ``below_endpoint_chord`` over a vertex tuple."""
-    i_end, j_end = vertices[-1]
-    for x, y in vertices:  # a plain loop: all() over a generator took 3.5x as long
-        if y * i_end > x * j_end:
+def _below_chord(xs: Sequence[int], ys: Sequence[int], i: int, j: int) -> bool:
+    """The loop of ``below_endpoint_chord`` over the interior x's and y's of a
+    path to (i, j); the chord's own ends (0, 0) and (i, j) lie on it."""
+    for x, y in zip(xs, ys):  # a plain loop: all() over a generator took 3.5x as long
+        if y * i > x * j:
             return False
     return True
 

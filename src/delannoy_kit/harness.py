@@ -20,9 +20,12 @@ count (0 = one per CPU, unset = 1); a sweep starts at most one worker per
 unit and per CPU, so a larger request is capped rather than passed to the
 pool.  Reports are deterministic either way, up to the elapsed field.
 
-A unit builds no path object: on word strings and vertex tuples it runs
-the kernels behind the public API, ``_words_by_e``, ``_vertex_tuples``,
-``_image``, ``_preimage``, ``_word_below_diagonal`` and ``_image_below_chord``.
+A unit builds no path object.  It runs the kernels behind the public API
+on word strings and on interior columns, a path's interior x's (A) and
+y's (B) with its height n: ``_words_by_e`` and ``_vertex_columns`` yield
+them, ``_image`` maps a word to its image's columns and ``_preimage`` maps
+columns back to a word, and ``_word_below_diagonal`` and ``_below_chord``
+test them.  No vertex tuple is built unless a failure record names one.
 
 The roundtrip check's rank-indexed image test is described with ``CHECKS``.
 """
@@ -36,11 +39,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
 from math import comb
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .bijection import _image, _preimage
 from .counting import (
-    _vertex_tuples,
+    _vertex_columns,
     _words_by_e,
     count_delannoy_by_e,
     count_kimberling_by_vertices,
@@ -48,7 +51,7 @@ from .counting import (
 )
 from .geometry import (
     CASE_LABELS,
-    _image_below_chord,
+    _below_chord,
     _word_below_diagonal,
     classify_d_counts,
     walk_east_steps,
@@ -143,17 +146,18 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 InteriorKey = tuple[tuple[int, ...], tuple[int, ...]]
-Vertices = tuple[tuple[int, int], ...]
 
 
-def _vertex_list(vertices: Vertices) -> list[list[int]]:
-    return [list(v) for v in vertices]
+def _vertex_list(xs: Sequence[int], ys: Sequence[int], n: int) -> list[list[int]]:
+    """The vertices of the path to (n+1, n) with interior columns xs and ys."""
+    return [[0, 0], *map(list, zip(xs, ys)), [n + 1, n]]
 
 
-def _smallest_keys(keys: list[InteriorKey], vertices: Vertices) -> list[InteriorKey]:
-    """The three smallest distinct keys among ``keys`` and the path's interior
-    (x-coordinates, y-coordinates), sorted."""
-    key = tuple(zip(*vertices[1:-1])) or ((), ())
+def _smallest_keys(
+    keys: list[InteriorKey], xs: Sequence[int], ys: Sequence[int]
+) -> list[InteriorKey]:
+    """The three smallest distinct keys among ``keys`` and (xs, ys), sorted."""
+    key = (tuple(xs), tuple(ys))
     return keys if key in keys else sorted([*keys, key])[:3]
 
 
@@ -163,39 +167,57 @@ class _SliceRank:
     In ``enumerate_kimberling_by_vertices`` order, rank = x-set rank among the
     k-subsets of 1..n times C(n+k, k), plus the rank of y_1 <= ... <= y_k as
     the k-subset {y_t + t} of 0..n+k-1.  A k-subset c_0 < ... < c_{k-1} of
-    range(m) has rank C(m, k) - 1 - sum C(m-1-c_t, k-t) (TAOCP 4A 7.2.1.3);
-    one table per vertex holds its terms, so a rank is one sum of lookups.
+    range(m) has rank C(m, k) - 1 - sum C(m-1-c_t, k-t) (TAOCP 4A 7.2.1.3).
+    The x-set and the y-multiset are ranked apart: one list per position t
+    holds each column's terms by coordinate, so a part is one sum of
+    lookups, and the vertex pass ranks each x-set once for its run of
+    C(n+k, k) paths.
+
+    Each part has its own monotone test, so a rank implies membership and
+    names one path of the slice, which lets the vertex pass skip each
+    roundtrip a word has proved (see ``CHECKS``).  Without the tests, the
+    x's (1, 2) and the non-monotone y's (1, 0) would get rank 3 in the
+    (3, 2) slice.
     """
 
     def __init__(self, n: int, k: int) -> None:
+        self.n, self.k = n, k
         y_count = comb(n + k, k)
         self.size = comb(n, k) * y_count
-        terms = ({(x, y): -comb(n - x, k - t) * y_count - comb(n + k - 1 - y - t, k - t)
-                  for x in range(1, n + 1) for y in range(n + 1)} for t in range(k))
-        self._tables = [{(0, 0): self.size - 1}, *terms, {(n + 1, n): 0}]
+        self._x_base = self.size - y_count
+        self._y_base = y_count - 1
+        self._x_tables = [[-comb(n - x, k - t) * y_count for x in range(n + 1)] for t in range(k)]
+        self._y_tables = [[-comb(n + k - 1 - y - t, k - t) for y in range(n + 1)] for t in range(k)]
 
-    def rank(self, vertices: Vertices) -> int | None:
-        """A vertex tuple's rank, or None unless its path is a member of the slice.
-
-        A member has one vertex per table, each a key of it, with x rising
-        strictly and y weakly from vertex to vertex; its sum lies in
-        range(size), and no two members share one.  The step test makes a
-        rank imply membership, so a rank names one path of the slice, which
-        lets the vertex pass skip each roundtrip a word has proved (see
-        ``CHECKS``).  Without it, the non-monotone ((0, 0), (1, 1), (2, 0),
-        (4, 3)) would get rank 3 in the (3, 2) slice.
-        """
-        if len(vertices) != len(self._tables):
+    def x_part(self, xs: Sequence[int], height: int) -> int | None:
+        """The x-set's share of the rank of a path of this height, or None
+        unless the height is n and ``xs`` rises strictly, k x's within 1..n."""
+        if height != self.n or len(xs) != self.k:
             return None
-        px, py = -1, 0  # a plain loop: any() over vertex pairs took 3x as long
-        for x, y in vertices:
-            if x <= px or y < py:
+        last = 0  # a plain loop: all() over map(operator.le) ranked 1.3x slower
+        for x in xs:
+            if x <= last:
                 return None
-            px, py = x, y
-        try:
-            return sum(map(dict.__getitem__, self._tables, vertices))
-        except KeyError:
+            last = x
+        if last > self.n:
             return None
+        return self._x_base + sum(map(list.__getitem__, self._x_tables, xs))
+
+    def rank(self, x_part: int | None, ys: Sequence[int]) -> int | None:
+        """``x_part`` plus the y-multiset's share, or None if ``x_part`` is
+        None or ``ys`` is not k y's rising weakly within 0..n.
+
+        A member's rank lies in range(size), and no two members share one."""
+        if x_part is None or len(ys) != self.k:
+            return None
+        last = 0
+        for y in ys:
+            if y < last:
+                return None
+            last = y
+        if last > self.n:
+            return None
+        return x_part + self._y_base + sum(map(list.__getitem__, self._y_tables, ys))
 
 
 def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
@@ -203,9 +225,9 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     ``names``; returns one (cases, failures, counts) per name, in order.
 
     Each word is mapped with ``_image`` once, if roundtrip, subdiagonal or
-    per-step is asked; the vertex slice is walked only if roundtrip,
-    subdiagonal or counts is.  A vertex path that is the image of a word
-    mapping back to itself is not mapped at all (see ``CHECKS``)."""
+    per-step is asked; the vertex slice's columns are walked only if
+    roundtrip, subdiagonal or counts is.  A vertex path that is the image of
+    a word mapping back to itself is not mapped at all (see ``CHECKS``)."""
     n, k = unit
     roundtrip, counts = "roundtrip" in names, "counts" in names
     subdiagonal, per_step = "subdiagonal" in names, "per-step" in names
@@ -229,10 +251,10 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     for word in _words_by_e(n, k):
         words += 1
         if roundtrip or subdiagonal or per_step:
-            image = _image(word)
+            xs, ys, height = _image(word)
         if subdiagonal:
             word_flag = _word_below_diagonal(word)
-            image_flag = _image_below_chord(image)
+            image_flag = _below_chord(xs, ys, height + 1, height)
             subdiagonal_words += word_flag
             if word_flag != image_flag:
                 logs["subdiagonal"].add(
@@ -242,25 +264,24 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                     kimberling_subdiagonal=image_flag,
                 )
         if roundtrip:
-            back = _preimage(image)
+            back = _preimage(xs, ys, height)
             if back != word:
                 logs["roundtrip"].add(
                     "inverse_roundtrip", input_word=word, expected=word, actual=back
                 )
-            rank = ranks.rank(image)
+            rank = ranks.rank(ranks.x_part(xs, height), ys)
             if rank is not None:
                 hits[rank] = 2 + image_flag if back == word else 1
             else:
-                unexpected = _smallest_keys(unexpected, image)
+                unexpected = _smallest_keys(unexpected, xs, ys)
         if per_step:
             ends, before_north, before_east = walk_east_steps(word)
-            interior = image[1:-1]
-            if len(interior) != len(ends):
+            if len(xs) != len(ends):
                 logs["per-step"].add(
-                    "image_vertex_count", input_word=word, expected=len(ends), actual=len(interior)
+                    "image_vertex_count", input_word=word, expected=len(ends), actual=len(xs)
                 )
-            for i, (px, py), (x, y), d_north, d_east in zip(
-                count(1), ends, interior, before_north, before_east
+            for i, (px, py), x, y, d_north, d_east in zip(
+                count(1), ends, xs, ys, before_north, before_east
             ):
                 if x != i + d_north or y != py:  # phi's definition, as CHECKS states it
                     logs["per-step"].add(
@@ -297,9 +318,13 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 tally[classify_d_counts(d_north, d_east)] += steps
 
     if roundtrip or counts or subdiagonal:
-        for vertices in _vertex_tuples(n + 1, n, k):
+        last_xs = None
+        for xs, ys in _vertex_columns(n + 1, n, k):
             if roundtrip:
-                rank = ranks.rank(vertices)
+                if xs != last_xs:  # by value: each x-set is ranked once for its run
+                    last_xs = xs
+                    x_part = ranks.x_part(xs, n)
+                rank = ranks.rank(x_part, ys)
                 if rank == vertex_paths and hits[rank] > 1:
                     # a word that maps back to itself has this path as its image
                     if subdiagonal:
@@ -308,17 +333,17 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                     continue
                 in_order = in_order and rank == vertex_paths
                 if rank is not None and not hits[rank]:
-                    missing = _smallest_keys(missing, vertices)
-                back_path = _image(_preimage(vertices))
-                if back_path != vertices:
+                    missing = _smallest_keys(missing, xs, ys)
+                back = _image(_preimage(xs, ys, n))
+                if back != (list(xs), list(ys), n):
                     logs["roundtrip"].add(
                         "forward_roundtrip",
-                        input_vertices=_vertex_list(vertices),
-                        expected=_vertex_list(vertices),
-                        actual=_vertex_list(back_path),
+                        input_vertices=_vertex_list(xs, ys, n),
+                        expected=_vertex_list(xs, ys, n),
+                        actual=_vertex_list(*back),
                     )
             if subdiagonal:
-                subdiagonal_vertex_paths += _image_below_chord(vertices)
+                subdiagonal_vertex_paths += _below_chord(xs, ys, width, n)
             vertex_paths += 1
 
     if roundtrip:
@@ -422,8 +447,9 @@ def run_checks(
     """Run the named checks in one sweep and return their reports in the
     order asked; no names, no sweep.
 
-    ``_unit`` runs once on every (n, k) unit with 0 <= k <= n <= n_max, in
-    that order.  Each report folds its check's unit failures in unit order,
+    ``_unit`` runs once on every (n, k) unit with 0 <= k <= n <= n_max; a
+    pool of workers takes them largest first, by ``count_delannoy_by_e``.
+    Each report folds its check's unit failures in (n, k) order,
     then calls its summary once per order n on that order's summed counts.
     Every report carries the whole sweep's wall time as ``elapsed_ms``.
     Raises ``ValueError`` for an unknown name, and for the first name whose
@@ -442,8 +468,11 @@ def run_checks(
     if processes <= 1:
         results = [unit_fn(u) for u in units]
     else:
+        # largest first, so that no large unit starts last; ties keep unit order
+        order = sorted(units, key=lambda unit: count_delannoy_by_e(*unit), reverse=True)
         with multiprocessing.Pool(processes=processes) as pool:
-            results = pool.map(unit_fn, units, chunksize=1)
+            by_unit = dict(zip(order, pool.map(unit_fn, order, chunksize=1)))
+        results = [by_unit[unit] for unit in units]
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     reports = []
     for column, name in enumerate(names):

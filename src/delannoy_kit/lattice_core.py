@@ -233,3 +233,9 @@ def _image_order(vertices: tuple[LatticePoint, ...]) -> int:
     if ex != ey + 1 or ey < 0:
         raise BadEndpoint(ex, ey)
     return ey
+
+
+def _columns(vertices: tuple[LatticePoint, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The x's and the y's of a vertex tuple's interior vertices."""
+    interior = vertices[1:-1]
+    return tuple(zip(*interior)) if interior else ((), ())

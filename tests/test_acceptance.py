@@ -8,6 +8,7 @@ criterion states a runtime bound or a chi-square percentile).
 import json
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from scipy.stats import chi2
@@ -27,6 +28,7 @@ from delannoy_kit.harness import CHECKS
 WORKED_WORD = "NEEDNNNEDDEEN"
 WORKED_VERTICES = [[0, 0], [1, 1], [3, 1], [4, 5], [5, 7], [8, 7], [9, 8]]
 SCHRODER_ROW = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586]
+GOLDEN_N8 = Path(__file__).with_name("golden_verify_n8.json")
 
 
 def _ok(number: int, text: str) -> None:
@@ -39,8 +41,16 @@ def sweep():
 
     A fused report equals the same check's lone report byte for byte (the
     golden ``verify`` test's each-check-alone case), so criteria 2, 3, 5 and
-    6 read theirs from one sweep."""
-    return {report.check_name: report for report in run_checks(list(CHECKS), 8, workers=1)}
+    6 read theirs from one sweep.  The reports, minus ``elapsed_ms``, must
+    also equal ``golden_verify_n8.json`` byte for byte, as ``verify --n-max 8
+    --json`` would print them."""
+    reports = run_checks(list(CHECKS), 8, workers=1)
+    payloads = [report.to_json_dict() for report in reports]
+    for payload in payloads:
+        del payload["elapsed_ms"]
+    text = json.dumps({"passed": all(r.passed for r in reports), "reports": payloads}, indent=2)
+    assert text + "\n" == GOLDEN_N8.read_text(encoding="utf-8")
+    return {report.check_name: report for report in reports}
 
 
 def test_criterion_1_worked_example_fidelity(capsys):

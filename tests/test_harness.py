@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delannoy_kit import (
-    KimberlingPath,
     count_delannoy,
     count_delannoy_by_e,
     count_kimberling_by_vertices,
@@ -19,9 +18,10 @@ from delannoy_kit import (
     phi_inverse,
 )
 from delannoy_kit import cli, harness
-from delannoy_kit.counting import _vertex_tuples, _words_by_e
+from delannoy_kit.counting import _vertex_columns, _words_by_e
 from delannoy_kit.geometry import CASE_LABELS
 from delannoy_kit.harness import FAILURE_CAP, resolve_workers, run_checks
+from delannoy_kit.lattice_core import _columns
 
 
 GOLDEN_N6 = Path(__file__).with_name("golden_verify_n6.json")
@@ -109,8 +109,8 @@ class TestVerifyPerStep:
         # bijection that roundtrip passes, but not the paper's map
         trade = {"DDEN": "DEDN", "DEDN": "DDEN"}
 
-        def traded_preimage(vertices):
-            word = UNPATCHED_PREIMAGE(vertices)
+        def traded_preimage(xs, ys, n):
+            word = UNPATCHED_PREIMAGE(xs, ys, n)
             return trade.get(word, word)
 
         monkeypatch.setattr(harness, "_image", lambda word: UNPATCHED_IMAGE(trade.get(word, word)))
@@ -246,16 +246,11 @@ class TestGoldenFailureRecords:
         return _report(name, n_max, workers)
 
     def test_roundtrip_with_bumped_phi(self, monkeypatch, workers=1):
-        def bumped_image(word):
-            image = original_image(word)
-            if len(image) > 2:
-                x, y = image[1]
-                bumped = ((0, 0), (x, max(0, y - 1))) + image[2:]
-                try:
-                    return KimberlingPath(bumped).vertices
-                except Exception:
-                    return image
-            return image
+        def bumped_image(word):  # the first interior y drops by one, if it can
+            xs, ys, height = original_image(word)
+            if ys:
+                return xs, [max(0, ys[0] - 1), *ys[1:]], height
+            return xs, ys, height
 
         original_image = harness._image
         monkeypatch.setattr(harness, "_image", bumped_image)
@@ -320,7 +315,7 @@ class TestGoldenFailureRecords:
     def test_subdiagonal_with_both_predicates_forced(self, monkeypatch, workers):
         # no word disagrees with its image, so only the summary records fail
         monkeypatch.setattr(harness, "_word_below_diagonal", lambda word: True)
-        monkeypatch.setattr(harness, "_image_below_chord", lambda vertices: True)
+        monkeypatch.setattr(harness, "_below_chord", lambda xs, ys, i, j: True)
         expected = {
             "check_name": "subdiagonal",
             "n_range": [0, 3],
@@ -448,10 +443,10 @@ class TestGoldenFailureRecords:
     @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
     def test_per_step_with_first_vertex_on_chord(self, monkeypatch, workers):
         def on_chord_image(word):  # words starting with E: first interior vertex (0, 0)
-            image = original_image(word)
+            xs, ys, height = original_image(word)
             if word.startswith("E"):
-                return ((0, 0), (0, 0), *image[2:])
-            return image
+                return [0, *xs[1:]], [0, *ys[1:]], height
+            return xs, ys, height
 
         original_image = harness._image
         monkeypatch.setattr(harness, "_image", on_chord_image)
@@ -519,7 +514,7 @@ class TestGoldenFailureRecordsInAFusedRun(TestGoldenFailureRecords):
 
 class TestOnePassPerUnit:
     def test_each_family_is_enumerated_and_mapped_once(self, monkeypatch):
-        names = ["_words_by_e", "_vertex_tuples", "_image", "walk_east_steps"]
+        names = ["_words_by_e", "_vertex_columns", "_image", "walk_east_steps"]
         calls = dict.fromkeys(names, 0)
 
         def counted(name, fn):
@@ -535,8 +530,43 @@ class TestOnePassPerUnit:
         # 10 (n, k) units; 80 words mapped and walked once each, and no vertex
         # path mapped back, since each unit's word pass implies those roundtrips
         assert calls == {
-            "_words_by_e": 10, "_vertex_tuples": 10, "_image": 80, "walk_east_steps": 80
+            "_words_by_e": 10, "_vertex_columns": 10, "_image": 80, "walk_east_steps": 80
         }
+
+    @pytest.mark.parametrize("name", list(harness.CHECKS))
+    def test_one_vertex_pass_per_unit(self, monkeypatch, name):
+        calls = []
+
+        def counted(i, j, k):
+            calls.append((i - 1, k))
+            return _vertex_columns(i, j, k)
+
+        monkeypatch.setattr(harness, "_vertex_columns", counted)
+        run_checks([name], n_max=3, workers=1)
+        units = [(n, k) for n in range(4) for k in range(n + 1)]
+        assert calls == ([] if name == "per-step" else units)
+
+    def test_each_x_set_is_ranked_once_per_run(self, monkeypatch):
+        # a lone roundtrip ranks each word's image, then each of the C(n, k)
+        # x-sets of the vertex pass once, not once per vertex path; runs are
+        # told apart by value, so a new but equal x-set object continues its run
+        calls = []
+        x_part = harness._SliceRank.x_part
+
+        def counted(ranks, xs, height):
+            calls.append(xs)
+            return x_part(ranks, xs, height)
+
+        def fresh_x_sets(i, j, k):
+            return ((tuple(list(xs)), ys) for xs, ys in _vertex_columns(i, j, k))
+
+        monkeypatch.setattr(harness._SliceRank, "x_part", counted)
+        monkeypatch.setattr(harness, "_vertex_columns", fresh_x_sets)
+        (report,) = run_checks(["roundtrip"], n_max=4, workers=1)
+        assert report.passed
+        words = sum(count_delannoy(n) for n in range(5))  # as many as vertex paths
+        x_sets = sum(2**n for n in range(5))  # sum over k of C(n, k)
+        assert (len(calls), words, x_sets) == (words + x_sets, 401, 31)
 
     def test_no_names_start_no_sweep(self, monkeypatch):
         monkeypatch.setattr(harness, "_words_by_e", _no_enumeration)
@@ -618,14 +648,23 @@ def _last_in_slice(word):
     return k >= 1 and word == "N" * k + "E" * k + "D" * (len(word) - 2 * k)
 
 
-def _xy_key(vertices):
-    return tuple(zip(*vertices[1:-1])) or ((), ())
+def _vertices(xs, ys, height):
+    """The vertex tuple of the path to (height + 1, height) with these interior columns."""
+    return ((0, 0), *zip(xs, ys), (height + 1, height))
+
+
+def _rank(ranks, vertices):
+    """The rank of a vertex tuple, read as its interior columns and its height."""
+    xs, ys = _columns(vertices)
+    return ranks.rank(ranks.x_part(xs, vertices[-1][1]), ys)
 
 
 def _image_set_by_key_sets(n, k):
     """The image_set record of unit (n, k) as set differences of key tuples."""
-    images = sorted(_xy_key(harness._image(word)) for word in _words_by_e(n, k))
-    slice_keys = [_xy_key(vertices) for vertices in _vertex_tuples(n + 1, n, k)]
+    images = sorted(
+        (tuple(xs), tuple(ys)) for xs, ys, _ in map(harness._image, _words_by_e(n, k))
+    )
+    slice_keys = list(_vertex_columns(n + 1, n, k))
     if images == slice_keys:
         return None
     return _image_set(
@@ -642,17 +681,17 @@ def _collide_ne(word):  # words ending NE share the image of the word ending EN
 
 
 def _drop_last_in_slice(word):  # each slice's last word loses its last interior vertex
-    image = UNPATCHED_IMAGE(word)
+    xs, ys, height = UNPATCHED_IMAGE(word)
     if _last_in_slice(word):
-        return KimberlingPath(image[:-2] + image[-1:]).vertices
-    return image
+        return xs[:-1], ys[:-1], height
+    return xs, ys, height
 
 
 def _drop_after_n(word):  # words starting with N lose their last interior vertex
-    image = UNPATCHED_IMAGE(word)
-    if word.startswith("N") and len(image) > 2:
-        return KimberlingPath(image[:-2] + image[-1:]).vertices
-    return image
+    xs, ys, height = UNPATCHED_IMAGE(word)
+    if word.startswith("N") and xs:
+        return xs[:-1], ys[:-1], height
+    return xs, ys, height
 
 
 def _swap_ne(word):  # words ending NE and EN trade images: onto, but none maps back
@@ -676,7 +715,7 @@ class TestRankedImageCheck:
             ranks = harness._SliceRank(n, k)
             assert ranks.size == count_kimberling_by_vertices(n + 1, n, k)
             slice_ = enumerate_kimberling_by_vertices(n + 1, n, k)
-            assert [ranks.rank(kpath.vertices) for kpath in slice_] == list(range(ranks.size))
+            assert [_rank(ranks, kpath.vertices) for kpath in slice_] == list(range(ranks.size))
 
     @given(st.data())
     def test_rank_order_is_the_interior_key_order(self, data):
@@ -687,7 +726,7 @@ class TestRankedImageCheck:
         for _ in range(2):
             xs = tuple(sorted(data.draw(st.permutations(range(1, n + 1)))[:k]))
             ys = tuple(sorted(data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k))))
-            rank = ranks.rank(KimberlingPath([(0, 0), *zip(xs, ys), (n + 1, n)]).vertices)
+            rank = ranks.rank(ranks.x_part(xs, n), ys)
             assert 0 <= rank < ranks.size
             keyed.append(((xs, ys), rank))
         (key_a, rank_a), (key_b, rank_b) = keyed
@@ -701,36 +740,57 @@ class TestRankedImageCheck:
             [(0, 0), (1, 0), (2, 1), (4, 4)],  # endpoint of another order
             [(0, 0), (1, 0), (2, 1)],  # a shorter path to another endpoint
             [(0, 0)],
-            # non-monotone, with table sums -10 and -8 that would index from the end
+            # x's that do not rise strictly
             [(0, 0), (1, 0), (1, 0), (4, 3)],
             [(0, 0), (1, 0), (1, 2), (4, 3)],
         ],
     )
     def test_paths_outside_the_slice_have_no_rank(self, vertices):
-        assert harness._SliceRank(3, 2).rank(tuple(vertices)) is None
+        assert _rank(harness._SliceRank(3, 2), tuple(vertices)) is None
 
     def test_only_slice_members_have_a_rank(self):
-        # all 144 sequences of table keys at (3, 2); before rank checked the
-        # steps, 98 non-monotone ones such as ((0,0),(1,1),(2,0),(4,3)) had one
+        # every k = 2 pair of x's in 0..4 and of y's in -1..4 at (3, 2): only the
+        # slice's 30 columns have a rank, and each a different one
         ranks = harness._SliceRank(3, 2)
-        candidates = itertools.product(*ranks._tables)
-        ranked = {vertices for vertices in candidates if ranks.rank(vertices) is not None}
-        assert ranked == {kpath.vertices for kpath in enumerate_kimberling_by_vertices(4, 3, 2)}
+        ranked = {}
+        for xs in itertools.product(range(5), repeat=2):
+            x_part = ranks.x_part(xs, 3)
+            for ys in itertools.product(range(-1, 5), repeat=2):
+                rank = ranks.rank(x_part, ys)
+                if rank is not None:
+                    ranked[xs, ys] = rank
+        assert list(ranked) == list(_vertex_columns(4, 3, 2))
+        assert list(ranked.values()) == list(range(ranks.size))
+
+    def test_non_monotone_y_multiset_has_no_rank(self):
+        # the x's (1, 2) and the y's (1, 0) sum to rank 3 in the (3, 2) slice,
+        # that of the member (1, 2), (0, 3): only the y part's step test stops them
+        ranks = harness._SliceRank(3, 2)
+        x_part = ranks.x_part((1, 2), 3)
+        terms = sum(table[y] for table, y in zip(ranks._y_tables, (1, 0)))
+        assert x_part + ranks._y_base + terms == 3 == ranks.rank(x_part, (0, 3))
+        assert ranks.rank(x_part, (1, 0)) is None
+
+    def test_an_image_of_another_height_has_no_rank(self):
+        ranks = harness._SliceRank(3, 2)
+        assert ranks.x_part((1, 2), 3) is not None
+        assert ranks.x_part((1, 2), 2) is None
+        assert ranks.x_part((1, 2), 4) is None
 
     def test_a_vertex_path_aliasing_a_rank_is_mapped_back(self, monkeypatch):
         # the word pass proves every slice member's roundtrip, so the vertex
         # pass skips a path whose rank is its index; a non-monotone path that
         # summed to a member's rank would have been skipped in its place
-        alias = ((0, 0), (1, 1), (2, 0), (4, 3))
+        alias = ((1, 2), (1, 0))  # ((0, 0), (1, 1), (2, 0), (4, 3))
 
         def aliasing_enumerator(i, j, k):
-            paths = list(_vertex_tuples(i, j, k))
+            paths = list(_vertex_columns(i, j, k))
             if (i, j, k) == (4, 3, 2):
-                assert paths[3] == ((0, 0), (1, 0), (2, 3), (4, 3))
+                assert paths[3] == ((1, 2), (0, 3))
                 paths[3] = alias
             return paths
 
-        monkeypatch.setattr(harness, "_vertex_tuples", aliasing_enumerator)
+        monkeypatch.setattr(harness, "_vertex_columns", aliasing_enumerator)
         _, failures, _ = harness._unit(("roundtrip",), (3, 2))[0]
         assert failures.records == [
             _forward(3, 2, [[0, 0], [1, 1], [2, 0], [4, 3]], [[0, 0], [1, 0], [2, 1], [4, 3]]),
@@ -739,11 +799,10 @@ class TestRankedImageCheck:
 
     def test_non_monotone_image_is_reported_not_aliased(self, monkeypatch):
         def repeating_image(word):  # EENND's first interior vertex (1, 0), twice
-            image = UNPATCHED_IMAGE(word)
+            xs, ys, height = UNPATCHED_IMAGE(word)
             if word == "EENND":
-                first = image[1]
-                return (image[0], first, first, image[3])
-            return image
+                return xs[:1] * 2, ys[:1] * 2, height
+            return xs, ys, height
 
         monkeypatch.setattr(harness, "_image", repeating_image)
         report = _report("roundtrip", 4)
@@ -783,12 +842,45 @@ class TestRankedImageCheck:
     )
     def test_vertex_enumerator_out_of_rank_order(self, monkeypatch, corrupt, enumerated):
         monkeypatch.setattr(
-            harness, "_vertex_tuples", lambda i, j, k: corrupt(_vertex_tuples(i, j, k))
+            harness, "_vertex_columns", lambda i, j, k: corrupt(_vertex_columns(i, j, k))
         )
         _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
         assert failures.records == [
             {"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": enumerated}
         ]
+
+    @pytest.mark.parametrize(
+        "corrupt, records",
+        [
+            (
+                # the runs of x-sets (1,) and (2,) trade places
+                lambda columns: (lambda paths: paths[3:] + paths[:3])(list(columns)),
+                [{"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": 6}],
+            ),
+            (
+                # a y-multiset given in falling order
+                lambda columns: [(xs, ys[::-1]) for xs, ys in columns],
+                [
+                    # each y pair (a, b) with a < b, given as (b, a), maps back to (a, b)
+                    _forward(
+                        2, 2, [[0, 0], [1, b], [2, a], [3, 2]], [[0, 0], [1, a], [2, b], [3, 2]]
+                    )
+                    for a, b in ((0, 1), (0, 2), (1, 2))
+                ]
+                + [{"kind": "vertex_order", "n": 2, "k": 2, "slice_size": 6, "enumerated": 6}],
+            ),
+        ],
+        ids=["x-runs-swapped", "y-falling"],
+    )
+    def test_vertex_columns_out_of_rank_order(self, monkeypatch, corrupt, records):
+        # each x-set is ranked once for its run, so runs out of order and a
+        # y-multiset that is not one must still fail the order test
+        monkeypatch.setattr(
+            harness, "_vertex_columns", lambda i, j, k: corrupt(_vertex_columns(i, j, k))
+        )
+        n, k = records[-1]["n"], records[-1]["k"]
+        _, failures, _ = harness._unit(("roundtrip",), (n, k))[0]
+        assert failures.records == records
 
     @pytest.mark.parametrize(
         "corrupt, tail",
@@ -826,7 +918,7 @@ class TestRankedImageCheck:
 
         monkeypatch.setattr(harness, "_image", first_for_last)
         monkeypatch.setattr(
-            harness, "_vertex_tuples", lambda i, j, k: corrupt(_vertex_tuples(i, j, k))
+            harness, "_vertex_columns", lambda i, j, k: corrupt(_vertex_columns(i, j, k))
         )
         _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
         assert failures.records == [
@@ -878,7 +970,7 @@ class TestRankedImageCheck:
                 expected = []
                 for kpath in enumerate_kimberling_by_vertices(n + 1, n, k):
                     word = phi_inverse(kpath).word
-                    back = corrupted_phi(word)
+                    back = _vertices(*corrupted_phi(word))
                     if back != kpath.vertices:
                         vertices = [list(v) for v in kpath.vertices]
                         expected.append(_forward(n, k, vertices, [list(v) for v in back]))
@@ -905,19 +997,17 @@ class TestRankedImageCheck:
 
 class TestWorkerErrors:
     def test_failing_pool_worker_raises_instead_of_hanging(self):
-        # BadEndpoint from _preimage inside a pool worker must reach the
-        # caller; when it could not be unpickled, pool.map never returned
+        # a BadEndpoint raised inside a pool worker must reach the caller;
+        # when it could not be unpickled, pool.map never returned
         script = """
 import multiprocessing
 from delannoy_kit import BadEndpoint, harness
 
-def wrong_endpoint_image(word):
-    image = harness_image(word)
-    n = image[-1][1]
-    return image[:-1] + ((n + 2, n),)
+def raising_image(word):
+    n = len(word) - word.count("E")
+    raise BadEndpoint(n + 2, n)
 
-harness_image = harness._image
-harness._image = wrong_endpoint_image
+harness._image = raising_image
 multiprocessing.set_start_method("fork")
 try:
     harness.run_checks(["roundtrip"], 5, workers=2)
@@ -982,6 +1072,33 @@ class TestWorkerResolution:
         assert started == [processes]
         serial = _report("counts", n_max, workers=1)
         assert _without_elapsed(report) == _without_elapsed(serial)
+
+    def test_pool_takes_units_largest_first(self, monkeypatch):
+        taken = []
+
+        class SerialPool:  # records the units in the order the pool takes them
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                taken.extend(items)
+                return [fn(item) for item in reversed(items)][::-1]
+
+        monkeypatch.setattr(harness.multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        reports = run_checks(list(harness.CHECKS), 3, workers=2)
+        # by count_delannoy_by_e: 30, 20, 12, 6, 6, 2, then four 1s; ties keep unit order
+        assert taken == [
+            (3, 2), (3, 3), (3, 1), (2, 1), (2, 2), (1, 1), (0, 0), (1, 0), (2, 0), (3, 0)
+        ]
+        serial = run_checks(list(harness.CHECKS), 3, workers=1)
+        assert [_without_elapsed(r) for r in reports] == [_without_elapsed(r) for r in serial]
 
     def test_single_worker_or_unit_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

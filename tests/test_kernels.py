@@ -1,7 +1,8 @@
 """The plain-data kernels that the verify sweep runs.
 
 Each public map, predicate and slice enumerator checks its input, then
-delegates to a kernel on word strings and vertex tuples and boxes what it
+delegates to a kernel on word strings and interior columns (a path's
+interior x's and y's, with its height or endpoint) and boxes what it
 returns.  These tests pin every kernel to its public function at every
 order n <= 6, errors included, and check that a sweep builds no path
 object at all.
@@ -25,8 +26,8 @@ from delannoy_kit import (
 )
 from delannoy_kit import bijection, counting, geometry, harness, lattice_core
 from delannoy_kit.bijection import _image, _preimage
-from delannoy_kit.counting import _vertex_tuples, _words_by_e
-from delannoy_kit.geometry import _image_below_chord, _word_below_diagonal
+from delannoy_kit.counting import _vertex_columns, _words_by_e
+from delannoy_kit.geometry import _below_chord, _word_below_diagonal
 
 ORDERS = range(7)
 
@@ -46,18 +47,19 @@ def test_each_public_function_is_its_kernel_boxed(n):
     for k in range(-1, n + 2):
         words = list(_words_by_e(n, k))
         assert list(enumerate_delannoy_by_e(n, k)) == [DelannoyPath(w) for w in words]
-        vertex_paths = list(_vertex_tuples(n + 1, n, k))
+        columns = list(_vertex_columns(n + 1, n, k))
         assert list(enumerate_kimberling_by_vertices(n + 1, n, k)) == [
-            KimberlingPath(v) for v in vertex_paths
+            KimberlingPath([(0, 0), *zip(xs, ys), (n + 1, n)]) for xs, ys in columns
         ]
         for word in words:
             path = DelannoyPath(word)
-            assert phi(path) == KimberlingPath(_image(word))
+            xs, ys, height = _image(word)
+            assert phi(path) == KimberlingPath([(0, 0), *zip(xs, ys), (height + 1, height)])
             assert is_subdiagonal_delannoy(path) is _word_below_diagonal(word)
-        for vertices in vertex_paths:
-            kpath = KimberlingPath(vertices)
-            assert phi_inverse(kpath) == DelannoyPath(_preimage(vertices))
-            assert is_subdiagonal_kimberling(kpath) is _image_below_chord(vertices)
+        for xs, ys in columns:
+            kpath = KimberlingPath([(0, 0), *zip(xs, ys), (n + 1, n)])
+            assert phi_inverse(kpath) == DelannoyPath(_preimage(xs, ys, n))
+            assert is_subdiagonal_kimberling(kpath) is _below_chord(xs, ys, n + 1, n)
 
 
 @pytest.mark.parametrize("n", ORDERS)
@@ -70,16 +72,14 @@ def test_kernels_raise_what_the_public_functions_raise(n):
             assert expected[0] is NotCentral
             assert _outcome(_image, word) == expected
             assert _outcome(is_subdiagonal_delannoy, path) == expected
+    # the column kernels take the height, not an endpoint: the public
+    # functions check the endpoint before they unbox the columns
     for k in range(n + 2):
-        for vertices in _vertex_tuples(n + 2, n, k):
-            kpath = KimberlingPath(vertices)
-            for public, kernel in (
-                (phi_inverse, _preimage),
-                (is_subdiagonal_kimberling, _image_below_chord),
-            ):
+        for xs, ys in _vertex_columns(n + 2, n, k):
+            kpath = KimberlingPath([(0, 0), *zip(xs, ys), (n + 2, n)])
+            for public in (phi_inverse, is_subdiagonal_kimberling):
                 expected = _outcome(public, kpath)
                 assert expected == (BadEndpoint, expected[1], {"x": n + 2, "y": n})
-                assert _outcome(kernel, vertices) == expected
 
 
 def test_the_sweep_builds_no_path_object(monkeypatch):
