@@ -276,9 +276,13 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 unexpected = _smallest_keys(unexpected, xs, ys)
         if per_step:
             ends, before_north, before_east = walk_east_steps(word)
-            if len(xs) != len(ends):
+            if len(xs) != len(ends) or len(ys) != len(ends):
+                # the columns pair into as many vertices as the shorter one holds
                 logs["per-step"].add(
-                    "image_vertex_count", input_word=word, expected=len(ends), actual=len(xs)
+                    "image_vertex_count",
+                    input_word=word,
+                    expected=len(ends),
+                    actual=min(len(xs), len(ys)),
                 )
             for i, (px, py), x, y, d_north, d_east in zip(
                 count(1), ends, xs, ys, before_north, before_east

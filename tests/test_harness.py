@@ -138,6 +138,22 @@ class TestVerifyPerStep:
         ]
         assert report.failure_count == 6
 
+    @pytest.mark.parametrize("column", [0, 1], ids=["xs", "ys"])
+    def test_a_short_column_is_a_wrong_vertex_count(self, monkeypatch, column):
+        # each slice's last word loses the last entry of one column only
+        def short_column(word):
+            image = list(UNPATCHED_IMAGE(word))
+            if _last_in_slice(word):
+                image[column] = image[column][:-1]
+            return tuple(image)
+
+        monkeypatch.setattr(harness, "_image", short_column)
+        report = _report("per-step", 3, workers=1)
+        # the same six image_vertex_count records as when both columns lose it
+        monkeypatch.setattr(harness, "_image", _drop_last_in_slice)
+        assert _without_elapsed(report) == _without_elapsed(_report("per-step", 3, workers=1))
+        assert report.failure_count == 6
+
 
 class TestReportMechanics:
     @pytest.mark.parametrize(
