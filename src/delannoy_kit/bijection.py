@@ -75,7 +75,7 @@ def _image(word: str) -> tuple[list[int], list[int], int]:
 def _parts(kpath: KimberlingPath) -> tuple[list[int], list[int], list[int]]:
     """A, B and C of a path to (n+1, n): the interior's x's and y's, and the
     heights 1..n not in A."""
-    a, b = map(list, _columns(kpath.vertices))
+    a, b = _columns(kpath.vertices)
     present = set(a)
     c = [h for h in range(1, kpath.endpoint[1] + 1) if h not in present]
     return a, b, c
