@@ -338,13 +338,13 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 in_order = in_order and rank == vertex_paths
                 if rank is not None and not hits[rank]:
                     missing = _smallest_keys(missing, xs, ys)
-                back = _image(_preimage(xs, ys, n))
-                if back != (list(xs), list(ys), n):
+                back_xs, back_ys, back_n = _image(_preimage(xs, ys, n))
+                if back_n != n or tuple(back_xs) != tuple(xs) or tuple(back_ys) != tuple(ys):
                     logs["roundtrip"].add(
                         "forward_roundtrip",
                         input_vertices=_vertex_list(xs, ys, n),
                         expected=_vertex_list(xs, ys, n),
-                        actual=_vertex_list(*back),
+                        actual=_vertex_list(back_xs, back_ys, back_n),
                     )
             if subdiagonal:
                 subdiagonal_vertex_paths += _below_chord(xs, ys, width, n)
@@ -451,9 +451,8 @@ def run_checks(
     """Run the named checks in one sweep and return their reports in the
     order asked; no names, no sweep.
 
-    ``_unit`` runs once on every (n, k) unit with 0 <= k <= n <= n_max; a
-    pool of workers takes them largest first, by ``count_delannoy_by_e``.
-    Each report folds its check's unit failures in (n, k) order,
+    ``_unit`` runs once on every (n, k) unit with 0 <= k <= n <= n_max, in
+    that order.  Each report folds its check's unit failures in unit order,
     then calls its summary once per order n on that order's summed counts.
     Every report carries the whole sweep's wall time as ``elapsed_ms``.
     Raises ``ValueError`` for an unknown name, and for the first name whose
@@ -472,11 +471,8 @@ def run_checks(
     if processes <= 1:
         results = [unit_fn(u) for u in units]
     else:
-        # largest first, so that no large unit starts last; ties keep unit order
-        order = sorted(units, key=lambda unit: count_delannoy_by_e(*unit), reverse=True)
         with multiprocessing.Pool(processes=processes) as pool:
-            by_unit = dict(zip(order, pool.map(unit_fn, order, chunksize=1)))
-        results = [by_unit[unit] for unit in units]
+            results = pool.map(unit_fn, units, chunksize=1)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     reports = []
     for column, name in enumerate(names):

@@ -962,6 +962,18 @@ class TestRankedImageCheck:
             "inverse_roundtrip", "forward_roundtrip", "image_set"
         ]
 
+    def test_an_image_of_tuples_passes_the_forward_roundtrip(self, monkeypatch):
+        # with no word to prove them, all six vertex paths of (2, 1) are mapped
+        # back; columns holding the right values pass as tuples as well as lists
+        def tuple_image(word):
+            xs, ys, height = UNPATCHED_IMAGE(word)
+            return tuple(xs), tuple(ys), height
+
+        monkeypatch.setattr(harness, "_image", tuple_image)
+        monkeypatch.setattr(harness, "_words_by_e", lambda n, k: iter(()))
+        _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
+        assert [record["kind"] for record in failures.records] == ["image_set"]
+
     @pytest.mark.parametrize(
         "corrupted_phi", [_collide_ne, _drop_after_n, _first_for_last, _swap_ne]
     )
@@ -1088,33 +1100,6 @@ class TestWorkerResolution:
         assert started == [processes]
         serial = _report("counts", n_max, workers=1)
         assert _without_elapsed(report) == _without_elapsed(serial)
-
-    def test_pool_takes_units_largest_first(self, monkeypatch):
-        taken = []
-
-        class SerialPool:  # records the units in the order the pool takes them
-            def __init__(self, processes):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                taken.extend(items)
-                return [fn(item) for item in reversed(items)][::-1]
-
-        monkeypatch.setattr(harness.multiprocessing, "Pool", SerialPool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        reports = run_checks(list(harness.CHECKS), 3, workers=2)
-        # by count_delannoy_by_e: 30, 20, 12, 6, 6, 2, then four 1s; ties keep unit order
-        assert taken == [
-            (3, 2), (3, 3), (3, 1), (2, 1), (2, 2), (1, 1), (0, 0), (1, 0), (2, 0), (3, 0)
-        ]
-        serial = run_checks(list(harness.CHECKS), 3, workers=1)
-        assert [_without_elapsed(r) for r in reports] == [_without_elapsed(r) for r in serial]
 
     def test_single_worker_or_unit_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):
