@@ -282,8 +282,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     try:
         svg = render_pair(path, spec)
     except OverflowError:  # coordinates are formatted as floats
-        print("error: --cell is too large: the drawing's size overflows a float", file=sys.stderr)
-        return 2
+        raise LatticeError("--cell is too large: the drawing's size overflows a float") from None
     if args.out in (None, "-"):
         print(svg)
     else:
@@ -292,8 +291,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
                 handle.write(svg)
                 handle.write("\n")
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
-            return 2
+            raise LatticeError(f"cannot write {args.out}: {exc.strerror}") from None
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

@@ -4,8 +4,10 @@ Every check enumerates complete families up to a size bound and compares
 against independent oracles (closed-form counts, the Schroder recurrence,
 per-step case analysis).  A result that fails a check becomes a failure
 record, and the sweep runs on to report totals, a capped list of
-counterexamples, and an exact failure count; a ``LatticeError`` raised by
-a map or a predicate ends the sweep and reaches the caller.
+counterexamples, and an exact failure count; columns with an entry past
+their height, which ``_preimage`` has no slot for, fail their roundtrip
+with ``actual`` None.  A ``LatticeError`` raised by a map or a predicate
+ends the sweep and reaches the caller.
 
 Sweeps are partitioned into (n, k) units -- the paths with k East steps on
 the word side, the paths with k interior vertices on the vertex side.
@@ -264,7 +266,10 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                     kimberling_subdiagonal=image_flag,
                 )
         if roundtrip:
-            back = _preimage(xs, ys, height)
+            try:
+                back = _preimage(xs, ys, height)
+            except IndexError:  # a column past the height spells no word
+                back = None
             if back != word:
                 logs["roundtrip"].add(
                     "inverse_roundtrip", input_word=word, expected=word, actual=back
@@ -338,13 +343,18 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 in_order = in_order and rank == vertex_paths
                 if rank is not None and not hits[rank]:
                     missing = _smallest_keys(missing, xs, ys)
-                back_xs, back_ys, back_n = _image(_preimage(xs, ys, n))
+                try:
+                    back = _preimage(xs, ys, n)
+                except IndexError:  # a column past the height spells no word
+                    back_xs = back_ys = back_n = None
+                else:
+                    back_xs, back_ys, back_n = _image(back)
                 if back_n != n or tuple(back_xs) != tuple(xs) or tuple(back_ys) != tuple(ys):
                     logs["roundtrip"].add(
                         "forward_roundtrip",
                         input_vertices=_vertex_list(xs, ys, n),
                         expected=_vertex_list(xs, ys, n),
-                        actual=_vertex_list(back_xs, back_ys, back_n),
+                        actual=None if back_n is None else _vertex_list(back_xs, back_ys, back_n),
                     )
             if subdiagonal:
                 subdiagonal_vertex_paths += _below_chord(xs, ys, width, n)

@@ -1,6 +1,5 @@
 import itertools
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,10 +17,13 @@ from delannoy_kit import (
     phi_inverse,
 )
 from delannoy_kit import cli, harness
+from delannoy_kit.bijection import _image
 from delannoy_kit.counting import _vertex_columns, _words_by_e
 from delannoy_kit.geometry import CASE_LABELS
-from delannoy_kit.harness import FAILURE_CAP, resolve_workers, run_checks
+from delannoy_kit.harness import resolve_workers, run_checks
 from delannoy_kit.lattice_core import _columns
+from test_mutants import MUTANTS, _drop_last, _edited_image, _forward, _image_set
+from test_mutants import _inverse, _patch, _vertex_columns_via, _without_elapsed
 
 
 GOLDEN_N6 = Path(__file__).with_name("golden_verify_n6.json")
@@ -103,57 +105,6 @@ class TestVerifyPerStep:
         assert tally["more_before_east"] == 0
         assert tally["more_before_north"] == 0
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["alone", "fused"])
-    def test_phi_is_pinned_to_its_definition(self, monkeypatch, fused):
-        # phi and phi_inverse trade the images of DDEN and DEDN: still a
-        # bijection that roundtrip passes, but not the paper's map
-        trade = {"DDEN": "DEDN", "DEDN": "DDEN"}
-
-        def traded_preimage(xs, ys, n):
-            word = UNPATCHED_PREIMAGE(xs, ys, n)
-            return trade.get(word, word)
-
-        monkeypatch.setattr(harness, "_image", lambda word: UNPATCHED_IMAGE(trade.get(word, word)))
-        monkeypatch.setattr(harness, "_preimage", traded_preimage)
-        names = list(harness.CHECKS) if fused else ["per-step"]
-        reports = {r.check_name: r for r in run_checks(names, 4, workers=1)}
-        assert reports["per-step"].failure_count == 2
-        assert reports["per-step"].failures == [
-            _image_mismatch(3, 1, "DDEN", 1, [3, 2], [3, 1]),
-            _image_mismatch(3, 1, "DEDN", 1, [3, 1], [3, 2]),
-        ]
-        if fused:
-            assert reports["roundtrip"].passed
-
-    def test_wrong_vertex_count_is_recorded(self, monkeypatch):
-        monkeypatch.setattr(harness, "_image", _drop_last_in_slice)
-        report = _report("per-step", 3, workers=1)
-        assert report.total_cases == 154
-        assert report.failures == [
-            {
-                "kind": "image_vertex_count", "n": n, "k": k,
-                "input_word": "N" * k + "E" * k + "D" * (n - k), "expected": k, "actual": k - 1,
-            }
-            for n in range(1, 4) for k in range(1, n + 1)
-        ]
-        assert report.failure_count == 6
-
-    @pytest.mark.parametrize("column", [0, 1], ids=["xs", "ys"])
-    def test_a_short_column_is_a_wrong_vertex_count(self, monkeypatch, column):
-        # each slice's last word loses the last entry of one column only
-        def short_column(word):
-            image = list(UNPATCHED_IMAGE(word))
-            if _last_in_slice(word):
-                image[column] = image[column][:-1]
-            return tuple(image)
-
-        monkeypatch.setattr(harness, "_image", short_column)
-        report = _report("per-step", 3, workers=1)
-        # the same six image_vertex_count records as when both columns lose it
-        monkeypatch.setattr(harness, "_image", _drop_last_in_slice)
-        assert _without_elapsed(report) == _without_elapsed(_report("per-step", 3, workers=1))
-        assert report.failure_count == 6
-
 
 class TestReportMechanics:
     @pytest.mark.parametrize(
@@ -188,344 +139,12 @@ class TestReportMechanics:
 
 class TestFailureRecording:
     def test_one_failure_fails_the_check(self, capsys, monkeypatch):
-        def bumped(n, k):
-            return original(n, k) + ((n, k) == (1, 1))
-
-        original = harness.count_delannoy_by_e
-        monkeypatch.setattr(harness, "count_delannoy_by_e", bumped)
+        # the bumped-delannoy-formula mutant fails one counts cell
+        (bumped,) = [mutant for mutant in MUTANTS if mutant.id == "bumped-delannoy-formula"]
+        _patch(monkeypatch, bumped)
         monkeypatch.delenv(harness.ENV_THREADS, raising=False)
-        (report,) = run_checks(["counts"], 2)
-        assert (report.failure_count, report.passed) == (1, False)
         assert cli.run(["verify", "--check", "counts", "--n-max", "2"]) == 1
         assert capsys.readouterr().out.startswith("FAIL counts:")
-
-    def test_summary_records_stay_under_a_cap_the_units_filled(self, monkeypatch):
-        # the units of n <= 3 fill the cap with 49 transport failures, then
-        # the summaries of n = 1, 2 and 3 add 3 more to the folded log
-        monkeypatch.setattr(harness, "_word_below_diagonal", lambda word: True)
-        (report,) = run_checks(["subdiagonal"], 3, workers=1)
-        assert report.failure_count == 52
-        assert len(report.failures) == FAILURE_CAP
-
-
-# a pool worker sees a monkeypatched harness global only if it was forked
-NEEDS_FORK = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="workers started without fork do not inherit the patched _image",
-)
-
-
-def _without_elapsed(report):
-    payload = report.to_json_dict()
-    del payload["elapsed_ms"]
-    return json.dumps(payload)
-
-
-def _inverse(n, k, word, actual):
-    return {
-        "kind": "inverse_roundtrip", "n": n, "k": k,
-        "input_word": word, "expected": word, "actual": actual,
-    }
-
-
-def _forward(n, k, vertices, actual):
-    return {
-        "kind": "forward_roundtrip", "n": n, "k": k,
-        "input_vertices": vertices, "expected": vertices, "actual": actual,
-    }
-
-
-def _image_set(n, k, missing, unexpected):
-    return {
-        "kind": "image_set", "n": n, "k": k,
-        "missing_from_image": missing, "unexpected_in_image": unexpected,
-    }
-
-
-def _transport(n, k, word):
-    return {
-        "kind": "subdiagonal_transport", "n": n, "k": k, "input_word": word,
-        "delannoy_subdiagonal": True, "kimberling_subdiagonal": False,
-    }
-
-
-class TestGoldenFailureRecords:
-    """Whole reports of corrupted sweeps, minus ``elapsed_ms``, byte for byte.
-
-    Recorded before the four checks shared one driver: they pin key order,
-    record order across units and summaries, the cap and the exact count.
-    Each test reads its report through ``report``.
-    """
-
-    @staticmethod
-    def report(name, n_max, workers):
-        return _report(name, n_max, workers)
-
-    def test_roundtrip_with_bumped_phi(self, monkeypatch, workers=1):
-        def bumped_image(word):  # the first interior y drops by one, if it can
-            xs, ys, height = original_image(word)
-            if ys:
-                return xs, [max(0, ys[0] - 1), *ys[1:]], height
-            return xs, ys, height
-
-        original_image = harness._image
-        monkeypatch.setattr(harness, "_image", bumped_image)
-        expected = {
-            "check_name": "roundtrip",
-            "n_range": [0, 3],
-            "total_cases": 160,
-            "failure_count": 96,
-            "failures": [
-                _inverse(1, 1, "NE", "EN"),
-                _forward(1, 1, [[0, 0], [1, 1], [2, 1]], [[0, 0], [1, 0], [2, 1]]),
-                {
-                    "kind": "image_set", "n": 1, "k": 1,
-                    "missing_from_image": [[[1], [1]]], "unexpected_in_image": [],
-                },
-                _inverse(2, 1, "DEN", "EDN"),
-                _inverse(2, 1, "DNE", "DEN"),
-                _inverse(2, 1, "NDE", "NED"),
-                _inverse(2, 1, "NED", "END"),
-                _forward(2, 1, [[0, 0], [1, 1], [3, 2]], [[0, 0], [1, 0], [3, 2]]),
-                _forward(2, 1, [[0, 0], [1, 2], [3, 2]], [[0, 0], [1, 1], [3, 2]]),
-                _forward(2, 1, [[0, 0], [2, 1], [3, 2]], [[0, 0], [2, 0], [3, 2]]),
-            ],
-            "passed": False,
-            "details": {},
-        }
-        assert _without_elapsed(self.report("roundtrip", 3, workers)) == json.dumps(expected)
-
-    def test_subdiagonal_with_forced_word_predicate(self, monkeypatch, workers=1):
-        monkeypatch.setattr(harness, "_word_below_diagonal", lambda word: True)
-        expected = {
-            "check_name": "subdiagonal",
-            "n_range": [0, 2],
-            "total_cases": 23,
-            "failure_count": 10,
-            "failures": [
-                _transport(1, 1, "NE"),
-                _transport(2, 1, "DNE"),
-                _transport(2, 1, "NDE"),
-                _transport(2, 1, "NED"),
-                _transport(2, 2, "ENNE"),
-                _transport(2, 2, "NEEN"),
-                _transport(2, 2, "NENE"),
-                _transport(2, 2, "NNEE"),
-                {"kind": "subdiagonal_count", "n": 1, "family": "delannoy",
-                 "expected": 2, "actual": 3},
-                {"kind": "subdiagonal_count", "n": 2, "family": "delannoy",
-                 "expected": 6, "actual": 13},
-            ],
-            "passed": False,
-            "details": {
-                "schroder": {
-                    "0": {"oracle": 1, "delannoy": 1, "kimberling": 1},
-                    "1": {"oracle": 2, "delannoy": 3, "kimberling": 2},
-                    "2": {"oracle": 6, "delannoy": 13, "kimberling": 6},
-                }
-            },
-        }
-        assert _without_elapsed(self.report("subdiagonal", 2, workers)) == json.dumps(expected)
-
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
-    def test_subdiagonal_with_both_predicates_forced(self, monkeypatch, workers):
-        # no word disagrees with its image, so only the summary records fail
-        monkeypatch.setattr(harness, "_word_below_diagonal", lambda word: True)
-        monkeypatch.setattr(harness, "_below_chord", lambda xs, ys, i, j: True)
-        expected = {
-            "check_name": "subdiagonal",
-            "n_range": [0, 3],
-            "total_cases": 88,
-            "failure_count": 6,
-            "failures": [
-                {"kind": "subdiagonal_count", "n": n, "family": family,
-                 "expected": oracle, "actual": actual}
-                for n, oracle, actual in ((1, 2, 3), (2, 6, 13), (3, 22, 63))
-                for family in ("delannoy", "kimberling")
-            ],
-            "passed": False,
-            "details": {
-                "schroder": {
-                    "0": {"oracle": 1, "delannoy": 1, "kimberling": 1},
-                    "1": {"oracle": 2, "delannoy": 3, "kimberling": 3},
-                    "2": {"oracle": 6, "delannoy": 13, "kimberling": 13},
-                    "3": {"oracle": 22, "delannoy": 63, "kimberling": 63},
-                }
-            },
-        }
-        assert _without_elapsed(self.report("subdiagonal", 3, workers)) == json.dumps(expected)
-
-    # The corrupted runs below were recorded before the image check ranked
-    # the images: whole roundtrip reports at n_max = 5, with 1 and 2 workers.
-    # Each corruption touches one word per (n, k) slice with k >= 1, the
-    # last in enumeration order, N^k E^k D^(n-k), so every slice's
-    # image_set record follows its two round-trip records.
-
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
-    def test_roundtrip_with_colliding_phi(self, monkeypatch, workers):
-        def colliding_image(word):  # shares the image of D^(n-k) E^k N^k
-            if _last_in_slice(word):
-                k = word.count("E")
-                d = len(word) - 2 * k
-                return original_image("D" * d + "E" * k + "N" * k)
-            return original_image(word)
-
-        original_image = harness._image
-        monkeypatch.setattr(harness, "_image", colliding_image)
-        expected = {
-            "check_name": "roundtrip",
-            "n_range": [0, 5],
-            "total_cases": 4168,
-            "failure_count": 45,
-            "failures": [
-                _inverse(1, 1, "NE", "EN"),
-                _forward(1, 1, [[0, 0], [1, 1], [2, 1]], [[0, 0], [1, 0], [2, 1]]),
-                _image_set(1, 1, [[[1], [1]]], []),
-                _inverse(2, 1, "NED", "DEN"),
-                _forward(2, 1, [[0, 0], [1, 1], [3, 2]], [[0, 0], [2, 1], [3, 2]]),
-                _image_set(2, 1, [[[1], [1]]], []),
-                _inverse(2, 2, "NNEE", "EENN"),
-                _forward(
-                    2, 2, [[0, 0], [1, 2], [2, 2], [3, 2]], [[0, 0], [1, 0], [2, 0], [3, 2]]
-                ),
-                _image_set(2, 2, [[[1, 2], [2, 2]]], []),
-                _inverse(3, 1, "NEDD", "DDEN"),
-            ],
-            "passed": False,
-            "details": {},
-        }
-        report = self.report("roundtrip", 5, workers)
-        assert _without_elapsed(report) == json.dumps(expected)
-
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
-    def test_roundtrip_with_out_of_slice_phi(self, monkeypatch, workers):
-        monkeypatch.setattr(harness, "_image", _drop_last_in_slice)
-        expected = {
-            "check_name": "roundtrip",
-            "n_range": [0, 5],
-            "total_cases": 4168,
-            "failure_count": 45,
-            "failures": [
-                _inverse(1, 1, "NE", "D"),
-                _forward(1, 1, [[0, 0], [1, 1], [2, 1]], [[0, 0], [2, 1]]),
-                _image_set(1, 1, [[[1], [1]]], [[[], []]]),
-                _inverse(2, 1, "NED", "DD"),
-                _forward(2, 1, [[0, 0], [1, 1], [3, 2]], [[0, 0], [3, 2]]),
-                _image_set(2, 1, [[[1], [1]]], [[[], []]]),
-                _inverse(2, 2, "NNEE", "NDE"),
-                _forward(2, 2, [[0, 0], [1, 2], [2, 2], [3, 2]], [[0, 0], [1, 2], [3, 2]]),
-                _image_set(2, 2, [[[1, 2], [2, 2]]], [[[1], [2]]]),
-                _inverse(3, 1, "NEDD", "DDD"),
-            ],
-            "passed": False,
-            "details": {},
-        }
-        report = self.report("roundtrip", 5, workers)
-        assert _without_elapsed(report) == json.dumps(expected)
-
-    # The corrupted per-step runs below are whole per-step reports at n_max = 3.
-    # Per-step reads each East end's height from the walk and each interior
-    # vertex from the image, so corrupting either breaks the definition too.
-
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
-    def test_per_step_with_mirrored_east_ends(self, monkeypatch, workers):
-        def mirrored_walk(word):  # words ending in N see each East end as (y, x)
-            ends, before_north, before_east = original_walk(word)
-            if word.endswith("N"):
-                ends = [(y, x) for x, y in ends]
-            return ends, before_north, before_east
-
-        original_walk = harness.walk_east_steps
-        monkeypatch.setattr(harness, "walk_east_steps", mirrored_walk)
-        expected = _per_step_report(
-            110,
-            [
-                _image_mismatch(1, 1, "EN", 1, [1, 1], [1, 0]),
-                _mismatch(1, 1, "EN", 1),
-                _image_mismatch(2, 1, "DEN", 1, [2, 2], [2, 1]),
-                _mismatch(2, 1, "DEN", 1),
-                _image_mismatch(2, 1, "EDN", 1, [2, 1], [2, 0]),
-                _mismatch(2, 1, "EDN", 1),
-                _image_mismatch(2, 2, "EENN", 1, [1, 1], [1, 0]),
-                _mismatch(2, 2, "EENN", 1),
-                _image_mismatch(2, 2, "EENN", 2, [2, 2], [2, 0]),
-                _mismatch(2, 2, "EENN", 2),
-            ],
-            PER_STEP_TALLIES,
-        )
-        report = self.report("per-step", 3, workers)
-        assert _without_elapsed(report) == json.dumps(expected)
-
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
-    def test_per_step_with_first_vertex_on_chord(self, monkeypatch, workers):
-        def on_chord_image(word):  # words starting with E: first interior vertex (0, 0)
-            xs, ys, height = original_image(word)
-            if word.startswith("E"):
-                return [0, *xs[1:]], [0, *ys[1:]], height
-            return xs, ys, height
-
-        original_image = harness._image
-        monkeypatch.setattr(harness, "_image", on_chord_image)
-        # each word's vertex (0, 0) is not its definition's (1 + D's before the
-        # first N, 0), and it lies on the chord
-        expected = _per_step_report(
-            62,
-            [
-                _image_mismatch(1, 1, "EN", 1, [1, 0], [0, 0]),
-                _on_diagonal(1, 1, "EN"),
-                _image_mismatch(2, 1, "EDN", 1, [2, 0], [0, 0]),
-                _on_diagonal(2, 1, "EDN"),
-                _image_mismatch(2, 1, "END", 1, [1, 0], [0, 0]),
-                _on_diagonal(2, 1, "END"),
-                _image_mismatch(2, 2, "EENN", 1, [1, 0], [0, 0]),
-                _on_diagonal(2, 2, "EENN"),
-                _image_mismatch(2, 2, "ENEN", 1, [1, 0], [0, 0]),
-                _on_diagonal(2, 2, "ENEN"),
-            ],
-            PER_STEP_TALLIES,
-        )
-        report = self.report("per-step", 3, workers)
-        assert _without_elapsed(report) == json.dumps(expected)
-
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
-    def test_per_step_with_every_case_equal(self, monkeypatch, workers):
-        monkeypatch.setattr(harness, "classify_d_counts", lambda before_north, before_east: "equal")
-        missing = ["more_before_east", "more_before_north"]
-        expected = _per_step_report(
-            2,
-            [
-                {"kind": "case_class_missing", "n": 2, "missing": missing},
-                {"kind": "case_class_missing", "n": 3, "missing": missing},
-            ],
-            {
-                "0": {"equal": 0, "more_before_east": 0, "more_before_north": 0},
-                "1": {"equal": 2, "more_before_east": 0, "more_before_north": 0},
-                "2": {"equal": 18, "more_before_east": 0, "more_before_north": 0},
-                "3": {"equal": 132, "more_before_east": 0, "more_before_north": 0},
-            },
-        )
-        report = self.report("per-step", 3, workers)
-        assert _without_elapsed(report) == json.dumps(expected)
-
-
-class TestGoldenFailureRecordsInAFusedRun(TestGoldenFailureRecords):
-    """The corrupted goldens above, each check's report taken from one
-    ``run_checks`` call of every check: no unit mixes records across checks."""
-
-    @staticmethod
-    def report(name, n_max, workers):
-        (report,) = [
-            r for r in run_checks(list(harness.CHECKS), n_max, workers) if r.check_name == name
-        ]
-        return report
-
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
-    def test_roundtrip_with_bumped_phi(self, monkeypatch, workers):
-        super().test_roundtrip_with_bumped_phi(monkeypatch, workers)
-
-    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
-    def test_subdiagonal_with_forced_word_predicate(self, monkeypatch, workers):
-        super().test_subdiagonal_with_forced_word_predicate(monkeypatch, workers)
 
 
 class TestOnePassPerUnit:
@@ -573,9 +192,7 @@ class TestOnePassPerUnit:
             calls.append(xs)
             return x_part(ranks, xs, height)
 
-        def fresh_x_sets(i, j, k):
-            return ((tuple(list(xs)), ys) for xs, ys in _vertex_columns(i, j, k))
-
+        fresh_x_sets = _vertex_columns_via(lambda c: [(tuple(list(xs)), ys) for xs, ys in c])
         monkeypatch.setattr(harness._SliceRank, "x_part", counted)
         monkeypatch.setattr(harness, "_vertex_columns", fresh_x_sets)
         (report,) = run_checks(["roundtrip"], n_max=4, workers=1)
@@ -617,53 +234,6 @@ def _no_enumeration(n, k):
     raise AssertionError("a unit ran")
 
 
-# the case tallies of the uncorrupted per-step report at n_max = 3
-PER_STEP_TALLIES = {
-    "0": {"equal": 0, "more_before_east": 0, "more_before_north": 0},
-    "1": {"equal": 2, "more_before_east": 0, "more_before_north": 0},
-    "2": {"equal": 16, "more_before_east": 1, "more_before_north": 1},
-    "3": {"equal": 110, "more_before_east": 11, "more_before_north": 11},
-}
-
-
-def _per_step_report(failure_count, failures, tallies):
-    return {
-        "check_name": "per-step",
-        "n_range": [0, 3],
-        "total_cases": 154,
-        "failure_count": failure_count,
-        "failures": failures,
-        "passed": False,
-        "details": {"case_tallies": tallies},
-    }
-
-
-def _mismatch(n, k, word, east_index):
-    return {
-        "kind": "step_vertex_mismatch", "n": n, "k": k, "input_word": word,
-        "east_index": east_index, "east_weakly_above": True, "vertex_strictly_above": False,
-    }
-
-
-def _image_mismatch(n, k, word, east_index, expected, actual):
-    return {
-        "kind": "image_vertex_mismatch", "n": n, "k": k, "input_word": word,
-        "east_index": east_index, "expected": expected, "actual": actual,
-    }
-
-
-def _on_diagonal(n, k, word):
-    return {
-        "kind": "vertex_on_diagonal", "n": n, "k": k, "input_word": word,
-        "east_index": 1, "interior_vertex": [0, 0],
-    }
-
-
-def _last_in_slice(word):
-    k = word.count("E")
-    return k >= 1 and word == "N" * k + "E" * k + "D" * (len(word) - 2 * k)
-
-
 def _vertices(xs, ys, height):
     """The vertex tuple of the path to (height + 1, height) with these interior columns."""
     return ((0, 0), *zip(xs, ys), (height + 1, height))
@@ -691,37 +261,19 @@ def _image_set_by_key_sets(n, k):
 
 
 def _collide_ne(word):  # words ending NE share the image of the word ending EN
-    if word.endswith("NE"):
-        return UNPATCHED_IMAGE(word[:-2] + "EN")
-    return UNPATCHED_IMAGE(word)
-
-
-def _drop_last_in_slice(word):  # each slice's last word loses its last interior vertex
-    xs, ys, height = UNPATCHED_IMAGE(word)
-    if _last_in_slice(word):
-        return xs[:-1], ys[:-1], height
-    return xs, ys, height
+    return _image(word[:-2] + "EN" if word.endswith("NE") else word)
 
 
 def _drop_after_n(word):  # words starting with N lose their last interior vertex
-    xs, ys, height = UNPATCHED_IMAGE(word)
-    if word.startswith("N") and xs:
-        return xs[:-1], ys[:-1], height
-    return xs, ys, height
+    return _drop_last(*_image(word)) if word.startswith("N") else _image(word)
 
 
 def _swap_ne(word):  # words ending NE and EN trade images: onto, but none maps back
-    if word.endswith(("NE", "EN")):
-        return UNPATCHED_IMAGE(word[:-2] + word[-1] + word[-2])
-    return UNPATCHED_IMAGE(word)
+    return _image(word[:-2] + word[:-3:-1] if word.endswith(("NE", "EN")) else word)
 
 
 def _first_for_last(word):  # DNE's image, the last of slice (2, 1), is sent to END's
-    return UNPATCHED_IMAGE("END" if word == "DNE" else word)
-
-
-UNPATCHED_IMAGE = harness._image
-UNPATCHED_PREIMAGE = harness._preimage
+    return _image("END" if word == "DNE" else word)
 
 
 class TestRankedImageCheck:
@@ -814,12 +366,10 @@ class TestRankedImageCheck:
         ]
 
     def test_non_monotone_image_is_reported_not_aliased(self, monkeypatch):
-        def repeating_image(word):  # EENND's first interior vertex (1, 0), twice
-            xs, ys, height = UNPATCHED_IMAGE(word)
-            if word == "EENND":
-                return xs[:1] * 2, ys[:1] * 2, height
-            return xs, ys, height
-
+        # EENND's first interior vertex (1, 0), twice
+        repeating_image = _edited_image(
+            lambda xs, ys, n: (xs[:1] * 2, ys[:1] * 2, n), lambda word: word == "EENND"
+        )
         monkeypatch.setattr(harness, "_image", repeating_image)
         report = _report("roundtrip", 4)
         assert not report.passed
@@ -849,17 +399,11 @@ class TestRankedImageCheck:
 
     @pytest.mark.parametrize(
         "corrupt, enumerated",
-        [
-            (lambda paths: reversed(list(paths)), 6),
-            (lambda paths: list(paths)[:-1], 5),
-            (lambda paths: list(paths) * 2, 12),
-        ],
+        [(reversed, 6), (lambda columns: columns[:-1], 5), (lambda columns: columns * 2, 12)],
         ids=["reversed", "short", "twice"],
     )
     def test_vertex_enumerator_out_of_rank_order(self, monkeypatch, corrupt, enumerated):
-        monkeypatch.setattr(
-            harness, "_vertex_columns", lambda i, j, k: corrupt(_vertex_columns(i, j, k))
-        )
+        monkeypatch.setattr(harness, "_vertex_columns", _vertex_columns_via(corrupt))
         _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
         assert failures.records == [
             {"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": enumerated}
@@ -870,7 +414,7 @@ class TestRankedImageCheck:
         [
             (
                 # the runs of x-sets (1,) and (2,) trade places
-                lambda columns: (lambda paths: paths[3:] + paths[:3])(list(columns)),
+                lambda columns: columns[3:] + columns[:3],
                 [{"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": 6}],
             ),
             (
@@ -891,9 +435,7 @@ class TestRankedImageCheck:
     def test_vertex_columns_out_of_rank_order(self, monkeypatch, corrupt, records):
         # each x-set is ranked once for its run, so runs out of order and a
         # y-multiset that is not one must still fail the order test
-        monkeypatch.setattr(
-            harness, "_vertex_columns", lambda i, j, k: corrupt(_vertex_columns(i, j, k))
-        )
+        monkeypatch.setattr(harness, "_vertex_columns", _vertex_columns_via(corrupt))
         n, k = records[-1]["n"], records[-1]["k"]
         _, failures, _ = harness._unit(("roundtrip",), (n, k))[0]
         assert failures.records == records
@@ -902,21 +444,16 @@ class TestRankedImageCheck:
         "corrupt, tail",
         [
             (
-                lambda paths: list(paths)[:-1],
+                lambda columns: columns[:-1],
                 [
                     {"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": 5},
                     _image_set(2, 1, [], []),
                 ],
             ),
             (
-                lambda paths: reversed(list(paths)),
+                reversed,
                 [
-                    {
-                        "kind": "forward_roundtrip", "n": 2, "k": 1,
-                        "input_vertices": [[0, 0], [2, 2], [3, 2]],
-                        "expected": [[0, 0], [2, 2], [3, 2]],
-                        "actual": [[0, 0], [1, 0], [3, 2]],
-                    },
+                    _forward(2, 1, [[0, 0], [2, 2], [3, 2]], [[0, 0], [1, 0], [3, 2]]),
                     {"kind": "vertex_order", "n": 2, "k": 1, "slice_size": 6, "enumerated": 6},
                     _image_set(2, 1, [((2,), (2,))], []),
                 ],
@@ -929,21 +466,10 @@ class TestRankedImageCheck:
     ):
         # DNE's image, the slice's last path, is sent to the first one; a short
         # enumerator never reaches the unhit path, so only vertex_order reports it
-        def first_for_last(word):
-            return UNPATCHED_IMAGE("END" if word == "DNE" else word)
-
-        monkeypatch.setattr(harness, "_image", first_for_last)
-        monkeypatch.setattr(
-            harness, "_vertex_columns", lambda i, j, k: corrupt(_vertex_columns(i, j, k))
-        )
+        monkeypatch.setattr(harness, "_image", _first_for_last)
+        monkeypatch.setattr(harness, "_vertex_columns", _vertex_columns_via(corrupt))
         _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
-        assert failures.records == [
-            {
-                "kind": "inverse_roundtrip", "n": 2, "k": 1,
-                "input_word": "DNE", "expected": "DNE", "actual": "END",
-            },
-            *tail,
-        ]
+        assert failures.records == [_inverse("DNE", "END"), *tail]
 
     def test_a_failing_unit_skips_each_proved_roundtrip(self, monkeypatch):
         # END maps back, so its image is skipped although DNE, which shares
@@ -965,10 +491,7 @@ class TestRankedImageCheck:
     def test_an_image_of_tuples_passes_the_forward_roundtrip(self, monkeypatch):
         # with no word to prove them, all six vertex paths of (2, 1) are mapped
         # back; columns holding the right values pass as tuples as well as lists
-        def tuple_image(word):
-            xs, ys, height = UNPATCHED_IMAGE(word)
-            return tuple(xs), tuple(ys), height
-
+        tuple_image = _edited_image(lambda xs, ys, n: (tuple(xs), tuple(ys), n))
         monkeypatch.setattr(harness, "_image", tuple_image)
         monkeypatch.setattr(harness, "_words_by_e", lambda n, k: iter(()))
         _, failures, _ = harness._unit(("roundtrip",), (2, 1))[0]
