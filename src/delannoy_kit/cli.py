@@ -4,6 +4,12 @@ Subcommands: map, unmap, count, enumerate, sample, classify, verify,
 render.  Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or validation error, and 141 (128 + SIGPIPE,
 as a shell reports that signal) when stdout closes early, as in ``| head -1``.
+
+``run`` parses a plain argv -- a subcommand, then its option strings, their
+values and its positionals, no value starting with "-" -- from a table read
+once out of the argparse parser, so the parser stays the one grammar.  Every
+other argv goes to ``parse_args``, so help, usage and error text come from
+argparse alone.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import json
 import os
 import re
 import sys
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bijection import _parts, phi, phi_inverse
 from .counting import (
@@ -375,16 +381,113 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+class _Grammar(NamedTuple):
+    """One subcommand's actions, as its argparse subparser holds them."""
+
+    options: dict[str, argparse.Action]  # option string -> its store or store-const action
+    positionals: tuple[argparse.Action, ...]
+    required: frozenset[argparse.Action]  # the positionals and the required options
+    defaults: dict[str, object]  # the namespace before any token: command, handler, defaults
+
+
+# the action classes a grammar holds; an action of any other class, a help
+# action aside, leaves its subcommand to ``parse_args``
+_STORE_CONST = (argparse._StoreConstAction, argparse._StoreTrueAction, argparse._StoreFalseAction)
+
+
+@functools.cache
+def _grammars() -> dict[str, _Grammar]:
+    """The grammar of each subcommand ``_parse_plain`` can parse, read once
+    from ``_parser()``.  A help action's option strings are left out, so
+    ``-h`` goes to ``parse_args``; so does every argv of a subcommand with a
+    mutually exclusive group, or with a store action that takes other than
+    one value or has a string default its type would convert."""
+    (subparsers,) = _parser()._subparsers._group_actions
+    grammars = {}
+    for name, sub in subparsers.choices.items():
+        options, positionals, defaults = {}, [], {"command": name}
+        for action in sub._actions:
+            kind = type(action)
+            if kind is argparse._HelpAction:
+                continue
+            if kind is argparse._StoreAction:
+                if action.nargs is not None or (isinstance(action.default, str) and action.type):
+                    break
+            elif kind not in _STORE_CONST:
+                break
+            if action.option_strings:
+                options.update(dict.fromkeys(action.option_strings, action))
+            else:
+                positionals.append(action)
+            if action.default is not argparse.SUPPRESS:
+                defaults.setdefault(action.dest, action.default)
+        else:
+            if not sub._mutually_exclusive_groups:
+                required = frozenset(action for action in sub._actions if action.required)
+                for dest, value in sub._defaults.items():  # set_defaults: the handler
+                    defaults.setdefault(dest, value)
+                grammars[name] = _Grammar(options, tuple(positionals), required, defaults)
+    return grammars
+
+
+def _parse_plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``parse_args(argv)`` builds, for a plain argv; else None.
+
+    Plain means: the first token names a subcommand in ``_grammars()``; each
+    later token is one of its option strings, the value that follows a store
+    option, or its next positional, and no value starts with "-"; each value
+    passes its action's type and choices; and every positional and required
+    option is given.  A repeated option keeps its last value, as in argparse.
+    Help, abbreviations, ``--opt=value``, ``--``, extra positionals and bad
+    values are not plain."""
+    grammar = _grammars().get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    values = dict(grammar.defaults)
+    seen = set()
+    positionals = iter(grammar.positionals)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = grammar.options.get(token)
+        if action is not None and action.nargs == 0:  # store_true and kin take no value
+            values[action.dest] = action.const
+            seen.add(action)
+            continue
+        if action is None:
+            action, value = next(positionals, None), token
+        else:
+            value = next(tokens, "-")  # a missing value reads as one starting with "-"
+        if action is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        seen.add(action)
+    if not grammar.required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code.
 
-    May be called any number of times in one process; the parser is built once.
+    May be called any number of times in one process; the parser and its
+    grammars are built once.
     """
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
     except ValueError as exc:  # LatticeError included

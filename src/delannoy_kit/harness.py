@@ -5,9 +5,10 @@ against independent oracles (closed-form counts, the Schroder recurrence,
 per-step case analysis).  A result that fails a check becomes a failure
 record, and the sweep runs on to report totals, a capped list of
 counterexamples, and an exact failure count; columns with an entry past
-their height, which ``_preimage`` has no slot for, fail their roundtrip
-with ``actual`` None.  A ``LatticeError`` raised by a map or a predicate
-ends the sweep and reaches the caller.
+their height, which ``_preimage`` has no slot for, and columns whose
+preimage is not central, which ``_image`` rejects, fail their roundtrip
+with ``actual`` None.  Any other ``LatticeError`` raised by a map or a
+predicate ends the sweep and reaches the caller.
 
 Sweeps are partitioned into (n, k) units -- the paths with k East steps on
 the word side, the paths with k interior vertices on the vertex side.
@@ -58,6 +59,7 @@ from .geometry import (
     classify_d_counts,
     walk_east_steps,
 )
+from .lattice_core import NotCentral
 
 FAILURE_CAP = 10
 DEFAULT_N_MAX = 8
@@ -343,12 +345,16 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 in_order = in_order and rank == vertex_paths
                 if rank is not None and not hits[rank]:
                     missing = _smallest_keys(missing, xs, ys)
+                back_xs = back_ys = back_n = None
                 try:
                     back = _preimage(xs, ys, n)
                 except IndexError:  # a column past the height spells no word
-                    back_xs = back_ys = back_n = None
+                    pass
                 else:
-                    back_xs, back_ys, back_n = _image(back)
+                    try:
+                        back_xs, back_ys, back_n = _image(back)
+                    except NotCentral:  # a repeated x spells fewer N's than E's
+                        pass
                 if back_n != n or tuple(back_xs) != tuple(xs) or tuple(back_ys) != tuple(ys):
                     logs["roundtrip"].add(
                         "forward_roundtrip",

@@ -75,6 +75,30 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the namespaces ``run``'s own parse must match, from a parser no test replaces
+ARGPARSE = build_parser()
+
+
+@pytest.fixture(autouse=True)
+def plain_parse_matches_argparse(monkeypatch):
+    """Every argv a test here passes to ``run`` that ``_parse_plain`` parses,
+    argparse parses to an equal namespace; every argv argparse rejects, with
+    usage or help, ``_parse_plain`` leaves to it."""
+    plain = cli._parse_plain
+
+    def checked(argv):
+        args = plain(argv)
+        if args is not None:
+            try:
+                expected = ARGPARSE.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse rejects {argv!r}, which _parse_plain accepts")
+            assert args == expected, argv
+        return args
+
+    monkeypatch.setattr(cli, "_parse_plain", checked)
+
+
 class TestMapUnmap:
     def test_map_worked_example(self, capsys):
         code, out, err = invoke(capsys, "map", WORKED_WORD)
@@ -678,10 +702,12 @@ REUSE_SEQUENCE = [
 
 @pytest.fixture
 def fresh_parser_cache():
-    cached = cli._parser
-    cached.cache_clear()
+    caches = (cli._parser, cli._grammars)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    cached.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 def _run_all(capsys, sequence):
@@ -690,7 +716,9 @@ def _run_all(capsys, sequence):
 
 def test_reused_parser_matches_fresh_parser(capsys, monkeypatch, fresh_parser_cache):
     reused = _run_all(capsys, REUSE_SEQUENCE)
+    # a new parser, and new grammars read from one, for every request
     monkeypatch.setattr(cli, "_parser", build_parser)
+    monkeypatch.setattr(cli, "_grammars", cli._grammars.__wrapped__)
     fresh = _run_all(capsys, REUSE_SEQUENCE)
     assert [r[0] for r in reused] == [2, 2, 0, 0, 0, 0, 0, 0, 0]
     for argv, got, expected in zip(REUSE_SEQUENCE, reused, fresh):
@@ -707,7 +735,24 @@ def test_run_builds_parser_once(capsys, monkeypatch, fresh_parser_cache):
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     _run_all(capsys, REUSE_SEQUENCE * 3)
     assert len(built) == 1
+    assert cli._grammars.cache_info().misses == 1
     assert build_parser() is not build_parser()
+
+
+def test_benchmark_requests_skip_parse_args(capsys, monkeypatch, workloads):
+    # every request of the benchmark's cli-requests and sample-exact rounds
+    # takes the plain parse, so argparse sets none of their latencies
+    rng = random.Random(1)
+    ops = workloads.cli_round(rng) + workloads.sample_round(rng, lambda family, n, k: 0)
+    cli._grammars()  # read from the parser before it goes
+
+    def no_parser():
+        raise AssertionError("parse_args was asked for")
+
+    monkeypatch.setattr(cli, "_parser", no_parser)
+    for op in ops:
+        assert run(op.argv) == 0, op.argv
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

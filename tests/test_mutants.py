@@ -388,6 +388,13 @@ MUTANTS = [
         {"_vertex_columns": _vertex_columns_via(lambda c: [(xs, _plus_one(ys)) for xs, ys in c])},
         "roundtrip", 5,
     ),
+    # Each x-set repeats its first x and drops its last: its preimage has fewer
+    # N's than E's, which _image rejects as not central.
+    Mutant(
+        "repeated-first-x",
+        {"_vertex_columns": _vertex_columns_via(lambda c: [(xs[:1] + xs[:-1], ys) for xs, ys in c])},
+        "roundtrip", 5, workers=(1, 2),
+    ),
     # Known survivors.
     Mutant(
         "reversed-word-slice",  # the words of slice (4, 2) in reverse order
@@ -440,15 +447,26 @@ def test_verify_catches(monkeypatch, mutant, fused, workers):
         assert reports[name].passed
 
 
-@pytest.mark.parametrize("mutant", [m for m in MUTANTS if m.id in PAST_HEIGHT], ids=PAST_HEIGHT)
-def test_a_column_past_the_height_is_a_failed_roundtrip(capsys, monkeypatch, mutant):
-    # _preimage has no slot for it, so the roundtrip record's actual is null
+def _verify_records_a_null_actual(capsys, monkeypatch, mutant):
+    """``verify`` reports the mutant as a counterexample whose actual is null."""
     _patch(monkeypatch, mutant)
     monkeypatch.delenv(harness.ENV_THREADS, raising=False)
     assert cli.run(["verify", "--n-max", "3", "--json"]) == 1
     roundtrip = json.loads(capsys.readouterr().out)["reports"][0]
     assert roundtrip["check_name"] == "roundtrip"
     assert None in [record.get("actual", 0) for record in roundtrip["failures"]]
+
+
+@pytest.mark.parametrize("mutant", [m for m in MUTANTS if m.id in PAST_HEIGHT], ids=PAST_HEIGHT)
+def test_a_column_past_the_height_is_a_failed_roundtrip(capsys, monkeypatch, mutant):
+    # _preimage has no slot for it, so the roundtrip record's actual is null
+    _verify_records_a_null_actual(capsys, monkeypatch, mutant)
+
+
+def test_a_non_central_preimage_is_a_failed_roundtrip(capsys, monkeypatch):
+    # _image has no image for it, so the roundtrip record's actual is null
+    (mutant,) = [m for m in MUTANTS if m.id == "repeated-first-x"]
+    _verify_records_a_null_actual(capsys, monkeypatch, mutant)
 
 
 GEOMETRY_CALLS_PHI = pytest.mark.xfail(
