@@ -82,8 +82,8 @@ ARGPARSE = build_parser()
 @pytest.fixture(autouse=True)
 def plain_parse_matches_argparse(monkeypatch):
     """Every argv a test here passes to ``run`` that ``_parse_plain`` parses,
-    argparse parses to an equal namespace; every argv argparse rejects, with
-    usage or help, ``_parse_plain`` leaves to it."""
+    argparse parses to an equal namespace; an argv that argparse rejects or
+    answers with help, ``_parse_plain`` leaves to argparse."""
     plain = cli._parse_plain
 
     def checked(argv):
@@ -284,6 +284,10 @@ class TestCount:
         code, out, _ = invoke(capsys, *argv)
         assert code == 0
         assert out.strip() == expected
+
+    def test_repeated_flag_keeps_its_last_value(self, capsys):
+        code, out, _ = invoke(capsys, "count", "delannoy", "--n", "3", "--n", "5")
+        assert (code, out) == (0, "1683\n")
 
     def test_missing_required_flag(self, capsys):
         code, _, err = invoke(capsys, "count", "delannoy")
@@ -652,6 +656,10 @@ sys.exit(f"imported outside the standard library: {outside}" if outside else 0)
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert run(["map", "--help"]) == 0
+        capsys.readouterr()
+        # verify has nothing required, so only -h itself keeps it from sweeping
+        assert run(["verify", "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: delannoy-kit verify")
 
     def test_python_dash_m_entry_point(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
