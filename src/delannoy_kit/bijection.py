@@ -20,10 +20,11 @@ A) or by a D step (heights in C), which is why A and C partition {1..n}.
 The word is therefore a scan over the heights: one E per B value equal to
 0, then for each h = 1..n an N if h is in A, else a D, followed by one E
 per B value equal to h.  ``_preimage`` is that scan, on A, B and n, and the
-one place it runs.  ``_parts`` reads A, B and C, which on a word's image
-are its north labels, its east labels and the heights of its D steps.  The
-verify sweep runs the kernels ``_image`` and ``_preimage`` on these columns;
-``phi`` and ``phi_inverse`` box and unbox them at the boundary.
+one place it runs.  ``_d_heights`` reads C off A and n; on a word's image,
+A, B and C are its north labels, its east labels and the heights of its D
+steps.  The verify sweep runs the kernels ``_image`` and ``_preimage`` on
+these columns; ``phi`` and ``phi_inverse`` box and unbox them at the
+boundary.
 """
 
 from __future__ import annotations
@@ -72,13 +73,11 @@ def _image(word: str) -> tuple[list[int], list[int], int]:
     return north, east, y
 
 
-def _parts(kpath: KimberlingPath) -> tuple[list[int], list[int], list[int]]:
-    """A, B and C of a path to (n+1, n): the interior's x's and y's, and the
-    heights 1..n not in A."""
-    a, b = _columns(kpath.vertices)
-    present = set(a)
-    c = [h for h in range(1, kpath.endpoint[1] + 1) if h not in present]
-    return a, b, c
+def _d_heights(xs: Sequence[int], n: int) -> list[int]:
+    """C of a path to (n+1, n) with interior x's ``xs``: the heights 1..n not
+    in ``xs``, which on a word's image are the heights of its D steps."""
+    present = set(xs)
+    return [h for h in range(1, n + 1) if h not in present]
 
 
 def phi_inverse(kpath: KimberlingPath) -> DelannoyPath:

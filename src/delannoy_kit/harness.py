@@ -229,9 +229,10 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
     ``names``; returns one (cases, failures, counts) per name, in order.
 
     Each word is mapped with ``_image`` once, if roundtrip, subdiagonal or
-    per-step is asked; the vertex slice's columns are walked only if
-    roundtrip, subdiagonal or counts is.  A vertex path that is the image of
-    a word mapping back to itself is not mapped at all (see ``CHECKS``)."""
+    per-step is asked, and compared with the word before it if counts is;
+    the vertex slice's columns are walked only if roundtrip, subdiagonal or
+    counts is.  A vertex path that is the image of a word mapping back to
+    itself is not mapped at all (see ``CHECKS``)."""
     n, k = unit
     roundtrip, counts = "roundtrip" in names, "counts" in names
     subdiagonal, per_step = "subdiagonal" in names, "per-step" in names
@@ -252,7 +253,12 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
         unexpected: list[InteriorKey] = []
         in_order = True
 
+    previous = disorder = None  # the last word, and the index of the first out of order
     for word in _words_by_e(n, k):
+        if counts:
+            if previous is not None and word <= previous and disorder is None:
+                disorder = words
+            previous = word
         words += 1
         if roundtrip or subdiagonal or per_step:
             xs, ys, height = _image(word)
@@ -374,6 +380,8 @@ def _unit(names: tuple[str, ...], unit: tuple[int, int]) -> list[UnitResult]:
                 "image_set", missing_from_image=missing, unexpected_in_image=unexpected
             )
     if counts:
+        if disorder is not None:
+            logs["counts"].add("word_order", enumerated=words, index=disorder)
         formula = count_delannoy_by_e(n, k)
         vertex_formula = count_kimberling_by_vertices(n + 1, n, k)
         if not formula == vertex_formula == words == vertex_paths:
@@ -444,6 +452,12 @@ def _case_coverage(
 #   path would pass the full roundtrip, so skipping changes no record or count.
 # - counts: one per (n, k) cell with 0 <= k <= n <= n_max; each cell compares
 #   the two closed forms with both enumerated counts, four exact integers.
+#   Its words must also rise strictly in the documented order, lexicographic
+#   under D < E < N, which is the order of the letters' code points, so each
+#   word is compared as a string with the one before it.  The first word that
+#   does not rise records one ``word_order`` failure with the number of words
+#   enumerated and that word's index.  With roundtrip's image test, this pins
+#   each word slice to the documented set in the documented order.
 # - subdiagonal: one per word (subdiagonality transports through phi), plus
 #   two per n comparing each family's subdiagonal total to the Schroder
 #   number from the recurrence.

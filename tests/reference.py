@@ -1,9 +1,10 @@
 """Test-only references.
 
 Earlier implementations: the package's k-slice enumerator (Algorithm L),
-its inverse (a height scan), its ratio-updated sampler and the templated
-``classify`` and ``unmap --debug`` outputs replaced these; tests compare the
-two outputs exactly.
+its inverse (a height scan), its ratio-updated sampler, the templated
+``classify``, ``map --debug`` and ``unmap --debug`` outputs and the ``%``
+list writers of ``map``, ``unmap`` and ``enumerate`` replaced these; tests
+compare the two outputs exactly.
 The kernels they in turn replaced, as they were before the sweep's
 per-path rewrite: Algorithm L over every letter of the word
 (``algorithm_l_words``), the chord test as one ``all()``
@@ -51,6 +52,8 @@ from delannoy_kit.geometry import diagonal_flags
 from delannoy_kit.lattice_core import _image_order
 
 TAG_TO_LETTER = {"A": "N", "B": "E", "C": "D"}
+# a merge entry's tag for each letter of the word
+LETTERS_TO_TAGS = str.maketrans("NED", "ABC")
 
 
 class OverlappingAC(LatticeError):
@@ -337,6 +340,44 @@ def unmap_debug_json(kpath):
         "B": b,
         "C": c,
         "merged": [f"{v}{t}" for v, t in merged],
+    }
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def vertex_text(vertices, compact):
+    """A vertex list as ``map`` and ``enumerate kimberling`` printed it before
+    their ``%`` writer: through the JSON encoder, or ``compact``, one f-string
+    per vertex."""
+    if compact:
+        return ";".join(f"({x},{y})" for x, y in vertices)
+    return json.dumps(vertices, separators=(",", ":"))
+
+
+def integers_text(values):
+    """A list of integers as ``map --debug`` and ``unmap --debug`` joined it
+    before their ``%`` writer: one ``str`` per value."""
+    return ",".join(map(str, values))
+
+
+def merged_text(word, a, b, c):
+    """``unmap --debug``'s merge entries as they were joined before the ``%``
+    writer: one f-string per value and the tag of the word's letter there."""
+    tags = word.translate(LETTERS_TO_TAGS)
+    return ",".join([f'"{value}{tag}"' for value, tag in zip(sorted(a + b + c), tags)])
+
+
+def map_debug_json(text):
+    """``map --debug``'s stdout, less the newline, as a payload of this
+    module's inverse parts encoded by ``json.dumps`` with compact separators."""
+    path = parse_step_word(text)
+    n, k = central_index(path)
+    image = phi(path)
+    a, b, c, _ = inverse_parts(image)
+    payload = {
+        "vertices": image.vertices,
+        "n": n,
+        "k": k,
+        "labels": {"north": a, "east": b, "diagonal": c},
     }
     return json.dumps(payload, separators=(",", ":"))
 

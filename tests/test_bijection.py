@@ -12,11 +12,18 @@ from delannoy_kit import (
     phi,
     phi_inverse,
 )
-from delannoy_kit.bijection import _image, _parts
-from delannoy_kit.cli import _LETTERS_TO_TAGS
+from delannoy_kit.bijection import _d_heights, _image
+from delannoy_kit.lattice_core import _columns
+from reference import LETTERS_TO_TAGS
 
 WORKED_WORD = "NEEDNNNEDDEEN"
 WORKED_IMAGE = ((0, 0), (1, 1), (3, 1), (4, 5), (5, 7), (8, 7), (9, 8))
+
+
+def parts(kpath):
+    """A, B and C of a path to (n+1, n), read as ``unmap --debug`` reads them."""
+    a, b = _columns(kpath.vertices)
+    return a, b, _d_heights(a, kpath.endpoint[1])
 
 
 def word_order_tagged(word):
@@ -37,20 +44,20 @@ def word_order_tagged(word):
 
 class TestStepLabels:
     # the labels are read off the image: its interior x's are the North
-    # labels, its interior y's the East labels (A and B of ``_parts``)
+    # labels, its interior y's the East labels (A and B of ``parts``)
 
     def test_worked_example(self):
-        assert _parts(phi(parse_step_word(WORKED_WORD))) == (
+        assert parts(phi(parse_step_word(WORKED_WORD))) == (
             [1, 3, 4, 5, 8],
             [1, 1, 5, 7, 7],
             [2, 6, 7],
         )
 
     def test_empty(self):
-        assert _parts(phi(parse_step_word(""))) == ([], [], [])
+        assert parts(phi(parse_step_word(""))) == ([], [], [])
 
     def test_single_diagonal(self):
-        assert _parts(phi(parse_step_word("D"))) == ([], [], [1])
+        assert parts(phi(parse_step_word("D"))) == ([], [], [1])
 
     def test_requires_central(self):
         with pytest.raises(NotCentral) as exc:
@@ -108,8 +115,8 @@ class TestMergeTagged:
         # groups, must be the path's north labels, east labels and D heights
         for path in enumerate_delannoy(n):
             image = phi(path)
-            a, b, c = _parts(image)
-            tags = phi_inverse(image).word.translate(_LETTERS_TO_TAGS)
+            a, b, c = parts(image)
+            tags = phi_inverse(image).word.translate(LETTERS_TO_TAGS)
             merged = list(zip(sorted(a + b + c), tags, strict=True))
             assert merged == word_order_tagged(path.word)
             groups = tuple([v for v, t in merged if t == tag] for tag in "ABC")

@@ -11,7 +11,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from delannoy_kit import (
     DelannoyPath,
@@ -23,6 +23,8 @@ from delannoy_kit import (
 import delannoy_kit
 from delannoy_kit import bijection, cli, geometry, harness
 from delannoy_kit.cli import build_parser, parse_vertex_text, run
+
+import reference
 
 WORKED_WORD = "NEEDNNNEDDEEN"
 WORKED_JSON = "[[0,0],[1,1],[3,1],[4,5],[5,7],[8,7],[9,8]]"
@@ -146,7 +148,7 @@ class TestMapUnmap:
 
     @pytest.mark.parametrize("debug", [[], ["--debug"]], ids=["plain", "debug"])
     def test_unmap_scans_the_heights_once(self, capsys, monkeypatch, debug):
-        # phi_inverse is the one height scan; counted wherever cli and bijection look it up
+        # _preimage is the one height scan; counted wherever cli and bijection look it up
         calls = []
 
         def counted(original):
@@ -157,7 +159,7 @@ class TestMapUnmap:
             return wrapper
 
         for module in (cli, bijection):
-            monkeypatch.setattr(module, "phi_inverse", counted(module.phi_inverse))
+            monkeypatch.setattr(module, "_preimage", counted(module._preimage))
         assert invoke(capsys, "unmap", WORKED_JSON, *debug)[0] == 0
         assert len(calls) == 1
 
@@ -261,6 +263,63 @@ class TestMapUnmap:
         assert parse_vertex_text(" (0,0) ; (1,0) ").vertices == ((0, 0), (1, 0))
         with pytest.raises(Exception):
             parse_vertex_text("(0,0);(oops)")
+
+
+# ---------------------------------------------------------------------------
+# the % writers write the bytes of the code they replaced, kept in reference.py
+
+# coordinates and values past 20 digits, where no fixed-width integer reaches
+HUGE = st.integers(-(10**25), 10**25)
+
+
+@given(st.lists(st.tuples(HUGE, HUGE), max_size=8))
+@example([])
+@example([[0, 0], [1, 0]])
+@example([(0, 0), (10**20, 10**19), (10**24 + 1, 10**24)])
+def test_vertex_writer_matches_the_encoder_and_the_join(vertices):
+    for compact in (False, True):
+        assert cli._vertex_text(vertices, compact) == reference.vertex_text(vertices, compact)
+
+
+@given(st.lists(HUGE, max_size=12))
+@example([])
+@example([10**20, 0, -(10**21)])
+def test_integer_writer_matches_str_join(values):
+    assert cli._integers(values) == reference.integers_text(values)
+
+
+@given(st.lists(st.tuples(st.sampled_from("NED"), HUGE), max_size=12), st.integers(0, 12),
+       st.integers(0, 12))
+@example([], 0, 0)
+@example([("D", 1), ("D", 2)], 0, 0)  # k = 0: A and B empty
+@example([("N", 1), ("E", 10**20)], 1, 2)  # C empty
+def test_merge_writer_matches_the_f_string_join(letters, cut, other_cut):
+    # any word over N/E/D, and as many values split into A, B and C in any way
+    word = "".join(letter for letter, _ in letters)
+    values = [value for _, value in letters]
+    i, j = sorted((min(cut, len(values)), min(other_cut, len(values))))
+    a, b, c = values[:i], values[i:j], values[j:]
+    assert cli._merged(word, a, b, c) == reference.merged_text(word, a, b, c)
+
+
+@st.composite
+def central_words(draw, n_max=40):
+    n = draw(st.integers(0, n_max))
+    k = draw(st.integers(0, n))
+    return "".join(draw(st.permutations("E" * k + "N" * k + "D" * (n - k))))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(central_words())
+@example("")  # the image [[0,0],[1,0]]: A, B and C empty
+@example("DDD")  # k = 0: A and B empty
+@example("NEEN")  # C empty
+@example(WORKED_WORD.lower())
+def test_map_debug_matches_json_dumps_reference(capsys, word):
+    k = word.upper().count("E")
+    n = len(word) - k
+    expected = (0, reference.map_debug_json(word) + "\n", f"n={n} k={k}\n")
+    assert invoke(capsys, "map", word, "--debug") == expected
 
 
 class TestCount:
@@ -761,6 +820,25 @@ def test_benchmark_requests_skip_parse_args(capsys, monkeypatch, workloads):
     for op in ops:
         assert run(op.argv) == 0, op.argv
         capsys.readouterr()
+
+
+def test_benchmark_map_and_unmap_skip_the_json_encoder(capsys, monkeypatch, workloads):
+    # every map and unmap request of the benchmark's cli-requests round writes
+    # its output with the % writers; the ops are built first, as they encode
+    ops = [op for op in workloads.cli_round(random.Random(1)) if op.command in ("map", "unmap")]
+
+    def no_encoder(*args):
+        raise AssertionError("the JSON encoder was asked for")
+
+    monkeypatch.setattr(cli, "_dump", no_encoder)
+    monkeypatch.setattr(json.JSONEncoder, "encode", no_encoder)
+    outputs = []
+    for op in ops:
+        assert run(op.argv) == 0, op.argv
+        outputs.append(capsys.readouterr().out)
+    monkeypatch.undo()
+    for op, out in zip(ops, outputs):
+        assert op.check(out), op.argv
 
 
 # ---------------------------------------------------------------------------

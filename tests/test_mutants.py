@@ -365,6 +365,17 @@ MUTANTS = [
             "delannoy_enumerated": 2, "kimberling_enumerated": 2,
         }]),
     ),
+    Mutant(
+        # the words of slice (4, 2) in reverse order: the second is the first to fall
+        "reversed-word-slice",
+        {"_words_by_e": lambda n, k: (reversed(list(_words_by_e(n, k))) if (n, k) == (4, 2)
+                                      else _words_by_e(n, k))},
+        "counts", 5,
+        _expected("counts", 5, 21, 1, [
+            {"kind": "word_order", "n": 4, "k": 2, "enumerated": 90, "index": 1},
+        ]),
+        workers=(1, 2),
+    ),
     # Must fail, with no pinned report.
     Mutant("bumped-kimberling-formula",
            {"count_kimberling_by_vertices": _bump_at(count_kimberling_by_vertices, 4, 3, 2)},
@@ -396,13 +407,6 @@ MUTANTS = [
         "roundtrip", 5, workers=(1, 2),
     ),
     # Known survivors.
-    Mutant(
-        "reversed-word-slice",  # the words of slice (4, 2) in reverse order
-        {"_words_by_e": lambda n, k: (reversed(list(_words_by_e(n, k))) if (n, k) == (4, 2)
-                                      else _words_by_e(n, k))},
-        "counts", 5,
-        survives="the word pass checks which words come, not their order: ROADMAP item 4",
-    ),
     Mutant(
         # both subdiagonal kernels trade the flags of DDEN and DENNE, and of their images
         "traded-subdiagonal-flags",
