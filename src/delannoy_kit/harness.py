@@ -21,7 +21,9 @@ unit tallies per order n, and its summary compares one order's sums at a
 time.  The DELANNOY_KIT_THREADS environment variable asks for a worker
 count (0 = one per CPU, unset = 1); a sweep starts at most one worker per
 unit and per CPU, so a larger request is capped rather than passed to the
-pool.  Reports are deterministic either way, up to the elapsed field.
+pool.  Only a sweep that starts a pool imports ``multiprocessing``, so a
+one-worker sweep, like the rest of the package, never loads it.  Reports
+are deterministic either way, up to the elapsed field.
 
 A unit builds no path object.  It runs the kernels behind the public API
 on word strings and on interior columns, a path's interior x's (A) and
@@ -35,7 +37,6 @@ The roundtrip check's rank-indexed image test is described with ``CHECKS``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -501,6 +502,8 @@ def run_checks(
     if processes <= 1:
         results = [unit_fn(u) for u in units]
     else:
+        import multiprocessing
+
         with multiprocessing.Pool(processes=processes) as pool:
             results = pool.map(unit_fn, units, chunksize=1)
     elapsed_ms = (time.perf_counter() - start) * 1000.0

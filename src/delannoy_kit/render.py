@@ -5,11 +5,14 @@ flipped relative to SVG screen coordinates.  The left panel shows the step
 word on its n-by-n grid with the y = x diagonal; the right panel shows the
 image path on an (n+1)-by-n grid with the chord to (n+1, n), interior
 vertices emphasized.
+
+``xml.etree.ElementTree`` is imported by the functions that build
+elements, so importing this module, and the package, does not load it;
+the first ``render_pair`` call does.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .bijection import phi
@@ -54,6 +57,8 @@ class _Panel:
 
 
 def _draw_segment(group: ET.Element, panel: _Panel, a, b, color: str, width: float) -> None:
+    import xml.etree.ElementTree as ET
+
     x0, y0 = panel.point(*a)
     x1, y1 = panel.point(*b)
     ET.SubElement(
@@ -71,6 +76,8 @@ def _draw_grid(group: ET.Element, panel: _Panel, w_units: int, h_units: int) -> 
 
 
 def _draw_path(group: ET.Element, panel: _Panel, vertices, dot_radii) -> None:
+    import xml.etree.ElementTree as ET
+
     if len(vertices) > 1:
         points = " ".join(_fmt(c) for v in vertices for c in panel.point(*v))
         ET.SubElement(
@@ -88,6 +95,8 @@ def _draw_path(group: ET.Element, panel: _Panel, vertices, dot_radii) -> None:
 def _draw_step_labels(
     group: ET.Element, panel: _Panel, word: str, vertices, font: float
 ) -> None:
+    import xml.etree.ElementTree as ET
+
     # vertices[0] is the origin, so vertices[1:] holds each step's end
     for ch, (x, y) in zip(word, vertices[1:]):
         if ch == "E":
@@ -107,6 +116,8 @@ def _draw_step_labels(
 
 def render_pair(path: DelannoyPath, spec: RenderSpec = RenderSpec()) -> str:
     """Render a central path and its image as one SVG document string."""
+    import xml.etree.ElementTree as ET
+
     n, _ = central_index(path)
     cell = spec.cell_size
     margin = cell

@@ -1,12 +1,21 @@
 """Fixtures shared by more than one test module."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def child_env():
+    """The environment for a child interpreter that imports this checkout's package."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 @pytest.fixture

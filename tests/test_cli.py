@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
@@ -687,24 +686,35 @@ class TestTopLevel:
         exec("from delannoy_kit import *", namespace)
         assert sorted(namespace.keys() - {"__builtins__"}) == sorted(delannoy_kit.__all__)
 
-    def test_imports_only_the_standard_library(self):
-        # -S -I: no site-packages, no PYTHON* variables, no working directory
+    def test_imports_only_the_standard_library(self, tmp_path):
+        # -S -I: no site-packages, no PYTHON* variables, no working directory.
+        # Only a pool start loads multiprocessing and only drawing loads xml.
         script = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from delannoy_kit import cli, harness, render
 assert cli.run(["verify", "--n-max", "3"]) == 0
 assert cli.run(["map", "NEEDNNNEDDEEN"]) == 0
+assert cli.run(["unmap", "[[0,0],[1,1],[3,1],[4,5],[5,7],[8,7],[9,8]]"]) == 0
+assert cli.run(["classify", "--word", "NEEDNNNEDDEEN"]) == 0
+assert cli.run(["count", "delannoy", "--n", "4"]) == 0
+assert cli.run(["sample", "--n", "5", "--count", "2", "--seed", "1"]) == 0
+heavy = sorted(m for m in sys.modules if m.partition(".")[0] in ("multiprocessing", "xml"))
+assert not heavy, heavy
+assert cli.run(["render", "--word", "NEEDNNNEDDEEN", "--out", sys.argv[2]]) == 0
+assert "xml.etree.ElementTree" in sys.modules
 allowed = sys.stdlib_module_names | {"delannoy_kit", "__main__", "__mp_main__"}
 outside = sorted({name.partition(".")[0] for name in sys.modules} - allowed)
 sys.exit(f"imported outside the standard library: {outside}" if outside else 0)
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
+        svg = tmp_path / "pair.svg"
         done = subprocess.run(
-            [sys.executable, "-S", "-I", "-c", script, src],
+            [sys.executable, "-S", "-I", "-c", script, src, str(svg)],
             capture_output=True, text=True, timeout=60,
         )
-        assert (done.returncode, done.stderr) == (0, "n=8 k=5\n")  # map's stderr line
+        # map's and unmap's endpoint lines, then render's
+        assert (done.returncode, done.stderr) == (0, f"n=8 k=5\nn=8 k=5\nwrote {svg}\n")
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2
@@ -720,25 +730,19 @@ sys.exit(f"imported outside the standard library: {outside}" if outside else 0)
         assert run(["verify", "-h"]) == 0
         assert capsys.readouterr().out.startswith("usage: delannoy-kit verify")
 
-    def test_python_dash_m_entry_point(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    def test_python_dash_m_entry_point(self, child_env):
         done = subprocess.run(
             [sys.executable, "-m", "delannoy_kit", "count", "schroder", "--n", "8"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=child_env, timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "41586\n", "")
 
-    def test_closed_stdout_exits_141_without_traceback(self):
+    def test_closed_stdout_exits_141_without_traceback(self, child_env):
         # as `enumerate delannoy --n 7 | head -1`: about 0.5 MB of words, far
         # more than a pipe buffers, so the writer meets the closed pipe
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         child = subprocess.Popen(
             [sys.executable, "-m", "delannoy_kit", "enumerate", "delannoy", "--n", "7"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env,
         )
         try:
             assert child.stdout.readline() == b"DDDDDDD\n"

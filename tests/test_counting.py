@@ -1,6 +1,8 @@
 import collections
 import hashlib
 import itertools
+from functools import cache
+from math import comb, factorial
 
 import pytest
 
@@ -16,7 +18,7 @@ from delannoy_kit import (
     sample_delannoy_stream,
     schroder,
 )
-from delannoy_kit.counting import TAIL_LETTERS, _slice_terms, _tail_table
+from delannoy_kit.counting import TAIL_LETTERS, _sample_with_rng, _slice_terms, _tail_table
 
 # frozen from a raw-product brute force over words of length n..2n
 CENTRAL_COUNTS = [1, 3, 13, 63, 321, 1683, 8989, 48639, 265729]
@@ -277,7 +279,70 @@ class TestEnumerateKimberling:
             assert len(slice_paths) == count_kimberling_by_vertices(i, j, k)
 
 
+@cache
+def multinomial(*parts):
+    result = factorial(sum(parts))
+    for part in parts:
+        result //= factorial(part)
+    return result
+
+
+@cache
+def letter_widths(counts):
+    """The arrangements of ``counts`` letters D, E, N after placing a D, an E or an N."""
+    return [
+        multinomial(*(c - (i == j) for j, c in enumerate(counts))) if counts[i] else 0
+        for i in range(3)
+    ]
+
+
+class SteeringRng:
+    """An rng that steers ``_sample_with_rng`` to ``word``.
+
+    Each ``randrange(bound)`` checks ``bound`` against this oracle's own
+    count, from ``math.comb`` or factorials: D(n) for the first call, then
+    the arrangements of the letters still to place.  It returns the first
+    integer, or with ``last`` the last one, of the interval that selects
+    the word's k-block, then of the interval that selects its next letter;
+    the letter intervals are ordered D, E, N.
+    """
+
+    def __init__(self, word, last):
+        self.word, self.last, self.calls = word, last, 0
+
+    def randrange(self, bound):
+        placed = self.calls - 1
+        self.calls += 1
+        if placed < 0:
+            k = self.word.count("E")
+            n = len(self.word) - k
+            widths = [comb(n, j) * comb(n + j, j) for j in range(n + 1)]
+            assert bound == sum(widths)
+            choice = k
+        else:
+            assert placed < len(self.word), "more draws than letters"
+            rest = self.word[placed:]
+            counts = (rest.count("D"), rest.count("E"), rest.count("N"))
+            assert bound == multinomial(*counts)
+            widths = letter_widths(counts)
+            choice = "DEN".index(rest[0])
+        low = sum(widths[:choice])
+        return low + widths[choice] - 1 if self.last else low
+
+
 class TestSampling:
+    def test_steered_draws_return_every_word_exactly(self):
+        # with every bound as the oracle counts and every word reached from
+        # both ends of each interval, a uniform randrange draws each word
+        # with probability exactly 1/D(n)
+        for n in range(7):
+            bounds = list(itertools.accumulate(_slice_terms(n, n)))
+            for word in brute_words(n):
+                for last in (False, True):
+                    rng = SteeringRng(word, last)
+                    assert _sample_with_rng(n, rng, bounds).word == word
+                    assert rng.calls == len(word) + 1
+
     def test_deterministic_single_draw(self):
         first, second = (next(sample_delannoy_stream(5, 1, 12345)) for _ in range(2))
         assert first.word == second.word

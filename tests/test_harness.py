@@ -1,6 +1,6 @@
 import itertools
 import json
-import os
+import multiprocessing
 import subprocess
 import sys
 import tracemalloc
@@ -547,7 +547,7 @@ class TestRankedImageCheck:
 
 
 class TestWorkerErrors:
-    def test_failing_pool_worker_raises_instead_of_hanging(self):
+    def test_failing_pool_worker_raises_instead_of_hanging(self, child_env):
         # a BadEndpoint raised inside a pool worker must reach the caller;
         # when it could not be unpickled, pool.map never returned
         script = """
@@ -565,11 +565,8 @@ try:
 except BadEndpoint as exc:
     print(type(exc).__name__, exc.x == exc.y + 2)
 """
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
         done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env, timeout=60
         )
         assert (done.returncode, done.stdout) == (0, "BadEndpoint True\n"), done.stderr
 
@@ -616,7 +613,7 @@ class TestWorkerResolution:
             def map(self, fn, items, chunksize=1):
                 return [fn(item) for item in items]
 
-        monkeypatch.setattr(harness.multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv(harness.ENV_THREADS, requested)
         report = _report("counts", n_max)
@@ -628,7 +625,7 @@ class TestWorkerResolution:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(harness.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
         monkeypatch.setenv(harness.ENV_THREADS, "100000")
         assert _report("counts", 0).passed  # one unit
