@@ -14,22 +14,30 @@ argparse alone.
 ``map``, ``unmap`` and ``enumerate kimberling`` write each list they print
 with one ``%`` format over a flat tuple of its integers, and the ``--debug``
 and ``classify`` JSON from fixed templates; the bytes are those of
-``json.dumps``.  ``unmap`` reads a path's columns once and scans its heights
-once, through the kernels the verify sweep runs.
+``json.dumps``.  ``map`` walks its word once and ``unmap`` reads a path's
+columns once and scans its heights once, through the kernels the verify sweep
+runs.
+
+``run`` pauses the cyclic garbage collector while a handler runs and restores
+the caller's state after, on every exit.  A large request builds thousands of
+containers that are never cycles, which refcounting frees; a collection they
+start only walks the heap.  ``run_checks`` is not paused: its lists die young,
+and an n <= 8 sweep starts at most one collection.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import re
 import sys
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .bijection import _d_heights, _preimage, phi
+from .bijection import _d_heights, _image, _preimage, phi
 from .counting import (
     count_delannoy,
     count_delannoy_by_e,
@@ -54,7 +62,6 @@ from .harness import CHECKS, DEFAULT_N_MAX, run_checks
 from .lattice_core import (
     KimberlingPath,
     LatticeError,
-    LatticePoint,
     _columns,
     _image_order,
     central_index,
@@ -105,10 +112,12 @@ def _integers(values: Sequence[int]) -> str:
     return ("%d," * len(values))[:-1] % tuple(values)
 
 
-def _vertex_text(vertices: Sequence[LatticePoint], compact: bool) -> str:
-    """A JSON array of [x,y] pairs, or with ``compact`` "(x,y);(x,y);..."."""
+def _vertex_text(coordinates: Iterable[int], compact: bool) -> str:
+    """The vertices x1, y1, x2, y2, ... as a JSON array of [x,y] pairs, or
+    with ``compact`` as "(x,y);(x,y);..."."""
+    values = tuple(coordinates)
     pair = "(%d,%d);" if compact else "[%d,%d],"
-    text = (pair * len(vertices))[:-1] % tuple(chain.from_iterable(vertices))
+    text = (pair * (len(values) // 2))[:-1] % values
     return text if compact else f"[{text}]"
 
 
@@ -155,14 +164,19 @@ def parse_vertex_text(text: str) -> KimberlingPath:
 def _cmd_map(args: argparse.Namespace) -> int:
     path = parse_step_word(args.word)
     n, k = central_index(path)
-    image = phi(path)
+    north, east, _ = _image(path.word)
+    # the image's vertices 0, 0, x1, y1, ..., n+1, n; its x's, y's and the
+    # heights 1..n no x reaches (A, B and C) are the word's north, east and
+    # D-step heights
+    coordinates = [0] * (2 * k + 4)
+    coordinates[2:-2:2] = north
+    coordinates[3:-2:2] = east
+    coordinates[-2:] = n + 1, n
     if args.debug:
-        # the image's A, B and C are the word's north, east and D-step heights
-        north, east = _columns(image.vertices)
         labels = (_integers(north), _integers(east), _integers(_d_heights(north, n)))
-        print(_MAP_DEBUG % (_vertex_text(image.vertices, False), n, k, *labels))
+        print(_MAP_DEBUG % (_vertex_text(coordinates, False), n, k, *labels))
     else:
-        print(_vertex_text(image.vertices, args.compact))
+        print(_vertex_text(coordinates, args.compact))
     print(f"n={n} k={k}", file=sys.stderr)
     return 0
 
@@ -230,7 +244,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for kpath in kstream:
             if args.subdiagonal and not below_endpoint_chord(kpath):
                 continue
-            print(_vertex_text(kpath.vertices, args.compact))
+            print(_vertex_text(chain.from_iterable(kpath.vertices), args.compact))
     return 0
 
 
@@ -498,7 +512,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code.
 
     May be called any number of times in one process; the parser and its
-    grammars are built once.
+    grammars are built once.  The collector is off while the handler runs,
+    and on after it only if it was on before.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -509,11 +524,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:
             code = exc.code
             return code if isinstance(code, int) else 2
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except ValueError as exc:  # LatticeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

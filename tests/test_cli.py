@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from itertools import chain
 from math import comb
 from pathlib import Path
 
@@ -132,16 +134,18 @@ class TestMapUnmap:
         }
 
     def test_map_debug_walks_the_word_once(self, capsys, monkeypatch):
-        # counted where phi looks it up; cli does not bind it
+        # _image is the one walk; counted wherever cli and bijection look it up
         calls = []
-        original = bijection._image
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(original):
+            def wrapper(*args):
+                calls.append(args)
+                return original(*args)
 
-        assert not hasattr(cli, "_image")
-        monkeypatch.setattr(bijection, "_image", counted)
+            return wrapper
+
+        for module in (cli, bijection):
+            monkeypatch.setattr(module, "_image", counted(module._image))
         assert invoke(capsys, "map", WORKED_WORD, "--debug")[0] == 0
         assert len(calls) == 1
 
@@ -276,8 +280,9 @@ HUGE = st.integers(-(10**25), 10**25)
 @example([[0, 0], [1, 0]])
 @example([(0, 0), (10**20, 10**19), (10**24 + 1, 10**24)])
 def test_vertex_writer_matches_the_encoder_and_the_join(vertices):
+    coordinates = list(chain.from_iterable(vertices))
     for compact in (False, True):
-        assert cli._vertex_text(vertices, compact) == reference.vertex_text(vertices, compact)
+        assert cli._vertex_text(coordinates, compact) == reference.vertex_text(vertices, compact)
 
 
 @given(st.lists(HUGE, max_size=12))
@@ -843,6 +848,75 @@ def test_benchmark_map_and_unmap_skip_the_json_encoder(capsys, monkeypatch, work
     monkeypatch.undo()
     for op, out in zip(ops, outputs):
         assert op.check(out), op.argv
+
+
+# ---------------------------------------------------------------------------
+# run pauses the cyclic collector while a handler runs and restores its state
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector_state(request):
+    """The collector's state before ``run``; the state before the test comes back after."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["map", WORKED_WORD], 0),
+        (["unmap", "[[0,0],5]"], 2),
+        (["map", "--no-such-flag", WORKED_WORD], 2),
+        (["verify", "--n-max", "3"], 0),
+    ],
+    ids=["map", "unmap-error", "usage-error", "pooled-verify"],
+)
+def test_run_restores_the_collector_state(capsys, monkeypatch, collector_state, argv, code):
+    monkeypatch.setenv(harness.ENV_THREADS, "2")  # read by verify alone
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any machine
+    assert run(argv) == code
+    assert gc.isenabled() is collector_state
+
+
+def test_run_restores_the_collector_state_when_a_handler_raises(monkeypatch, collector_state):
+    def broken_pipe(word):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "parse_step_word", broken_pipe)
+    with pytest.raises(BrokenPipeError):
+        run(["map", WORKED_WORD])
+    assert gc.isenabled() is collector_state
+
+
+@pytest.mark.parametrize("collector_state", [True], ids=["collector-on"], indirect=True)
+@pytest.mark.parametrize("command", ["unmap --debug", "map", "classify"])
+def test_no_collection_starts_inside_a_large_request(capsys, collector_state, command):
+    # each builds thousands of lists and tuples at n = 4096, enough to start
+    # collections were the collector on
+    letters = list("D" * 1096 + "E" * 3000 + "N" * 3000)
+    random.Random(4096).shuffle(letters)
+    word = "".join(letters)
+    argv = {
+        "unmap --debug": ["unmap", json.dumps(phi(DelannoyPath(word)).vertices), "--debug"],
+        "map": ["map", word],
+        "classify": ["classify", "--word", word],
+    }[command]
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()  # no young objects left to count toward the first threshold
+    gc.callbacks.append(record)
+    try:
+        assert run(argv) == 0
+    finally:
+        gc.callbacks.remove(record)
+    capsys.readouterr()
+    assert starts == []
 
 
 # ---------------------------------------------------------------------------
